@@ -21,10 +21,10 @@ Three sections:
   :class:`~repro.engine.cache.PlanCache` hit on a structurally identical
   workload, asserting the warm path skips strategy optimization.
 
-Emits ``BENCH_kron_fastpath.json`` at the repository root with one row per
-domain size (dense and factorized wall-clock, speedup, deviation), so
-regressions in either speed or numerical agreement are visible in version
-control.
+Merges its sections into ``BENCH_kron_fastpath.json`` at the repository
+root (sections written by other suites are kept) with one row per domain
+size (dense and factorized wall-clock, speedup, deviation), so regressions
+in either speed or numerical agreement are visible in version control.
 
 Run with:  python benchmarks/bench_kron_fastpath.py
 (or via pytest; no plugin fixtures are required).  Set ``REPRO_BENCH_QUICK=1``
@@ -394,13 +394,6 @@ def run() -> dict:
         recycled_rows = _recycled_trace_rows(RECYCLED_SHAPES)
         engine_rows = _engine_rows(ENGINE_SHAPES)
 
-    from repro.utils.backend import get_backend
-
-    backend_name = get_backend().name
-    for section in (eigh_rows, completed_rows, reduction_rows, recycled_rows, engine_rows):
-        for row in section:
-            row["backend"] = backend_name
-
     slow = [row for row in reduction_rows if row["speedup"] < 1.0]
     assert not slow, (
         "factorized Sec. 4.2 reductions regressed below dense at the "
@@ -413,7 +406,6 @@ def run() -> dict:
     report = {
         "benchmark": "kron_fastpath",
         "workload": "all multi-dimensional range queries",
-        "backend": backend_name,
         "lint": _lint_metadata(),
         "target_speedup": TARGET_SPEEDUP,
         "largest_dense_cells": largest_eigh["cells"],
@@ -430,7 +422,11 @@ def run() -> dict:
         "engine_plan_cache": {"rows": engine_rows},
     }
     if not QUICK:
-        RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+        # Merge, never overwrite: other suites (bench_engine_throughput.py)
+        # keep their own sections in the same file.
+        merged = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
+        merged.update(report)
+        RESULT_PATH.write_text(json.dumps(merged, indent=2) + "\n")
     return report
 
 

@@ -61,7 +61,6 @@ from repro.evaluation.io import ExperimentRecord, rows_to_csv, save_records
 from repro.evaluation.registry import available_experiments, get_experiment
 from repro.evaluation.tables import format_table
 from repro.exceptions import ReproError
-from repro.utils.backend import set_backend
 
 __all__ = ["main", "build_parser"]
 
@@ -144,13 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="decimal places in table output",
-    )
-    query.add_argument(
-        "--backend",
-        choices=("numpy", "jax"),
-        default=None,
-        help="array backend for the numerical hot path (default: numpy, or "
-        "$REPRO_BACKEND); 'jax' requires the optional jax install",
     )
 
     serve = commands.add_parser(
@@ -249,13 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="how many predicted-hot shapes each forecast pre-plans (default: 8)",
     )
     serve.add_argument("--seed", type=int, default=None, help="noise seed (reproducible runs)")
-    serve.add_argument(
-        "--backend",
-        choices=("numpy", "jax"),
-        default=None,
-        help="array backend for the numerical hot path (default: numpy, or "
-        "$REPRO_BACKEND); 'jax' requires the optional jax install",
-    )
 
     lint = commands.add_parser(
         "lint",
@@ -279,17 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     return parser
-
-
-def _activate_backend(name: "str | None") -> None:
-    """Install the requested array backend process-wide, failing fast.
-
-    An unavailable backend (``--backend jax`` without jax installed) raises
-    :class:`~repro.utils.backend.BackendUnavailableError`, which ``main``
-    turns into a clean ``error: ...`` exit — not a traceback mid-request.
-    """
-    if name is not None:
-        set_backend(name)
 
 
 def _parse_overrides(pairs: Sequence[str]) -> dict:
@@ -419,7 +393,6 @@ def _command_query(arguments, out) -> int:
     from repro.relational.csvio import read_csv
     from repro.relational.vectorize import infer_schema
 
-    _activate_backend(arguments.backend)
     statements = _load_statements(arguments)
     spec = _load_schema_spec(arguments.schema)
     try:
@@ -529,7 +502,6 @@ def _command_serve(arguments, out) -> int:
     from repro.relational.csvio import read_csv
     from repro.relational.vectorize import infer_schema
 
-    _activate_backend(arguments.backend)
     spec = _load_schema_spec(arguments.schema)
     try:
         relation = read_csv(arguments.data)
@@ -562,7 +534,6 @@ def _command_serve(arguments, out) -> int:
         forecast=arguments.forecast,
         forecast_epoch_seconds=arguments.forecast_epoch,
         forecast_top_k=arguments.forecast_top_k,
-        backend=arguments.backend,
     )
     # SIGINT requests a graceful drain: stop admitting, finish what is in
     # flight, reject the rest with an explanation. A second ctrl-C falls

@@ -26,7 +26,6 @@ from repro.core.privacy import PrivacyParams
 from repro.core.strategy import Strategy
 from repro.core.workload import Workload
 from repro.exceptions import MaterializationError, SingularStrategyError
-from repro.utils.backend import get_backend
 from repro.utils.linalg import DeflationSpace, hutchpp_trace, pcg_solve, psd_solver, trace_ratio
 from repro.utils.operators import (
     MATERIALIZATION_LIMIT,
@@ -170,13 +169,6 @@ def _trace_recycler(
     parts.append(str(int(STOCHASTIC_TRACE["samples"])))
     parts.append(str(int(STOCHASTIC_TRACE["seed"])))
     parts.append(str(int(STOCHASTIC_TRACE["deflation_rank"])))
-    # The array backend is part of the identity too: a deflation space built
-    # from one backend's arithmetic must never warm-start another's (a
-    # mid-process backend switch would otherwise replay stale Krylov state
-    # computed at a different precision/implementation).
-    backend = get_backend()
-    parts.append(backend.name)
-    parts.append(backend.dtype_name)
     key = tuple(parts)
     with _TRACE_RECYCLER_REGISTRY_LOCK:
         recycler = _TRACE_RECYCLERS.get(key)

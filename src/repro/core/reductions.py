@@ -174,7 +174,7 @@ def eigen_query_separation(
     if not factorized or within_materialization_budget(workload.column_count, len(groups)):
         group_columns = np.zeros((workload.column_count, len(groups)))
     # The per-group solves share their constraint rows (one per cell), so
-    # when the slices are dense they run in lockstep as stacked backend
+    # when the slices are dense they run in lockstep as stacked batched-BLAS
     # contractions instead of one skinny solve at a time.
     problems = [
         WeightingProblem(costs=values[indexes], constraints=space.slice_columns(indexes))

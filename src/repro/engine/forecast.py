@@ -37,9 +37,7 @@ pins down:
 * a mispredicted epoch degrades to exactly the reactive path — the arrival
   is planned cold as if forecasting were off;
 * pre-planning never touches a budget: no accountant appears anywhere on
-  the forecast path, and budget *advice*
-  (:meth:`~repro.mechanisms.accountant.PrivacyAccountant.epsilon_advice`,
-  surfaced through :meth:`ForecastEngine.budget_advice`) is read-only.
+  the forecast path.
 
 Ownership (``docs/architecture.md`` §7/§10): the forecaster lives in the
 **parent** serving process only.  Its pre-warm work runs on a dedicated
@@ -522,13 +520,6 @@ class ForecastEngine:
             self._predicted = {fingerprint for fingerprint, _ in mix}
             self.preplan_runs += 1
         return self.preplanner.preplan(shapes)
-
-    # ------------------------------------------------------------------ advice
-    def budget_advice(self, accountant, *, epochs: int = 1) -> dict[str, float]:
-        """Forecast-weighted per-query epsilon suggestions for one tenant's
-        accountant — :meth:`PrivacyAccountant.epsilon_advice` fed with the
-        current mix.  Read-only; charge semantics are unchanged."""
-        return accountant.epsilon_advice(dict(self.mix()), epochs=epochs)
 
     # -------------------------------------------------------------- lifecycle
     def flush(self) -> None:

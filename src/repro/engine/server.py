@@ -76,7 +76,6 @@ from repro.engine.session import Session, SessionAnswer
 from repro.engine.store import StateStore
 from repro.exceptions import ReproError
 from repro.mechanisms.accountant import BudgetExceededError
-from repro.utils.backend import resolve_backend
 from repro.relational.relation import Relation
 from repro.relational.vectorize import data_vector
 
@@ -236,16 +235,11 @@ class Server:
         forecast: bool | ForecastEngine = False,
         forecast_epoch_seconds: float = 60.0,
         forecast_top_k: int = 8,
-        backend: str | None = None,
     ):
         if execution not in ("thread", "process"):
             raise ReproError(
                 f"execution must be 'thread' or 'process', got {execution!r}"
             )
-        # Resolve the array backend up front: an unavailable request fails
-        # here (as a ReproError subclass) rather than mid-request.  ``None``
-        # inherits the process-wide active backend.
-        self.backend = resolve_backend(backend)
         self.budget = budget
         self.schema = schema
         self.planner = planner if planner is not None else Planner()
@@ -489,22 +483,6 @@ class Server:
         """The forecasting tier, or ``None`` when ``forecast=False``."""
         return self._forecast
 
-    def budget_advice(self, tenant: str, *, epochs: int = 1) -> dict[str, float]:
-        """Forecast-weighted per-query epsilon suggestions for ``tenant``.
-
-        The tenant accountant's
-        :meth:`~repro.mechanisms.accountant.PrivacyAccountant.epsilon_advice`
-        fed with the forecaster's current predicted mix: hot fingerprints
-        get a larger share of one epoch's remaining-epsilon slice.  Purely
-        advisory — nothing is debited and charge semantics are unchanged.
-        Returns ``{}`` with forecasting off, no prediction yet, or an
-        exhausted budget.
-        """
-        if self._forecast is None:
-            return {}
-        session = self.session(tenant, create=False)
-        return self._forecast.budget_advice(session.accountant, epochs=epochs)
-
     def tenants(self) -> list[str]:
         """Names of the open tenants (snapshot)."""
         with self._lock:
@@ -672,18 +650,12 @@ class Server:
         if source is None:
             return workload.answer(estimate)
 
-        backend = self.backend
-
         def shard(lo: int, hi: int) -> np.ndarray:
             if isinstance(source, np.ndarray):
                 block = source[lo:hi]
             else:
                 block = source.row_block(lo, hi)
-            if backend.is_default:
-                return block @ estimate
-            return backend.to_numpy(
-                backend.matmul(backend.asarray(block), backend.asarray(estimate))
-            )
+            return block @ estimate
 
         futures = [
             self._shard_pool.submit(shard, lo, hi)
@@ -996,7 +968,6 @@ class Server:
             "workers": self.workers,
             "shards": self.shards,
             "execution": self.execution,
-            "backend": self.backend.name,
             "queue_depth": self.queue_depth,
             "process_executor": (
                 None

@@ -232,42 +232,6 @@ class PrivacyAccountant:
             bucket["count"] += 1
         return out
 
-    def epsilon_advice(
-        self, weights, *, epochs: int = 1, floor: float = 0.0
-    ) -> dict:
-        """Forecast-weighted per-query epsilon suggestions (advisory only).
-
-        ``weights`` maps a query shape (e.g. a workload fingerprint) to its
-        predicted next-epoch arrival rate — the forecaster's *mix* (see
-        :mod:`repro.engine.forecast`).  The remaining epsilon budget is
-        split evenly over ``epochs`` future epochs, and one epoch's slice is
-        allocated across the shapes **proportional to their weight**: a
-        shape predicted to be hot gets a larger epsilon (lower error exactly
-        where most of next epoch's queries will land).  One paid release per
-        shape per epoch is the planning unit — repeats of the same shape
-        within the epoch are free post-processing of that release.
-
-        Purely advisory: nothing is debited, reserved, or mutated, and
-        :meth:`charge` semantics are unchanged — a caller may ignore every
-        suggestion.  Shapes with non-positive weight are dropped;
-        suggestions below ``floor`` are clamped up to it (without
-        re-balancing, so the total may then exceed one epoch's slice).
-        Returns ``{}`` when the budget is exhausted or no weight is
-        positive.
-        """
-        remaining = self.remaining
-        if remaining is None:
-            return {}
-        positive = {key: float(weight) for key, weight in weights.items() if weight > 0}
-        total = sum(positive.values())
-        if total <= 0:
-            return {}
-        epoch_slice = remaining.epsilon / max(1, int(epochs))
-        return {
-            key: max(float(floor), epoch_slice * weight / total)
-            for key, weight in positive.items()
-        }
-
     def spend(self, request: PrivacyParams, *, label: str = "") -> PrivacyParams:
         """Record a spend of ``request`` and return it; raises if over budget.
 

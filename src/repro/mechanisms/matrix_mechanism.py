@@ -15,6 +15,7 @@ synthetic contingency table tailored to the workload.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +72,9 @@ class MatrixMechanism:
         # Cached Cholesky factor of A^T A for repeated runs (None until first
         # use; False when the strategy is rank-deficient and lstsq is needed).
         self._normal_factor = None
-        # Workloads whose support by the strategy has already been verified.
-        self._supported_workloads: set[int] = set()
+        # Workloads whose support by the strategy has already been verified,
+        # held weakly so a long-lived mechanism never pins its callers' workloads.
+        self._supported_workloads: weakref.WeakSet[Workload] = weakref.WeakSet()
 
     def _solve_least_squares(self, noisy: np.ndarray) -> np.ndarray:
         """Least-squares inference with a cached normal-equation factorisation.
@@ -109,13 +111,13 @@ class MatrixMechanism:
             raise SingularStrategyError(
                 f"workload has {workload.column_count} cells but the strategy has {matrix.shape[1]}"
             )
-        if id(workload) not in self._supported_workloads:
+        if workload not in self._supported_workloads:
             if not self.strategy.supports(workload.gram):
                 raise SingularStrategyError(
                     "the strategy cannot answer this workload: its row space does not "
                     "contain the workload's row space"
                 )
-            self._supported_workloads.add(id(workload))
+            self._supported_workloads.add(workload)
         rng = as_generator(random_state)
         noisy = self._gaussian.answer(matrix, data, random_state=rng)
         if self.nonnegative:

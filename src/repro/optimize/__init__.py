@@ -110,7 +110,7 @@ def solve_weighting_batch(
 
     When the problems are all dense with a shared constraint row count (the
     Sec. 4.2 stage-1 per-group solves), the first-order phase runs as one
-    :func:`solve_dual_ascent_batch` lockstep — a single stacked backend
+    :func:`solve_dual_ascent_batch` lockstep — a single stacked batched-BLAS
     contraction per gradient/line-search step instead of one skinny
     matrix-vector product per problem per step.  Under ``solver="auto"`` any
     problem that fails to converge then escalates to the second-order

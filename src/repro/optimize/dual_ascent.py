@@ -142,9 +142,9 @@ def solve_dual_ascent_batch(
     line-search overhead is paid ``sum_p iterations_p`` times.  Here every
     problem advances together — each step of each phase (gradient, expand,
     backtrack, feasibility check) is one batched matmul over the stacked
-    ``(P, k, r)`` constraint tensor on the active array backend — so the
-    Python overhead is paid ``max_p iterations_p`` times and the contractions
-    run at batched-BLAS granularity.
+    ``(P, k, r)`` constraint tensor — so the Python overhead is paid
+    ``max_p iterations_p`` times and the contractions run at batched-BLAS
+    granularity.
 
     Each problem follows exactly the :func:`solve_dual_ascent` control flow
     (per-problem step sizes, line-search masks, stall detection, best-point
@@ -165,8 +165,6 @@ def solve_dual_ascent_batch(
     tolerance, max_iterations, initial_step:
         As in :func:`solve_dual_ascent`, applied per problem.
     """
-    from repro.utils.backend import get_backend
-
     if not problems:
         return []
     for problem in problems:
@@ -183,8 +181,6 @@ def solve_dual_ascent_batch(
             f"got rows={sorted(rows)}, powers={sorted(powers)}"
         )
 
-    backend = get_backend()
-    xp = backend.xp
     count = len(problems)
     k = rows.pop()
     power = powers.pop()
@@ -200,11 +196,6 @@ def solve_dual_ascent_batch(
     # A contiguous pre-transposed copy keeps both contraction directions on
     # the batched-BLAS fast path (matmul over strided views copies per call).
     transposed = np.ascontiguousarray(stacked.transpose(0, 2, 1))
-    if not backend.is_default:
-        stacked = backend.asarray(stacked)
-        transposed = backend.asarray(transposed)
-        costs = backend.asarray(costs)
-        upper = backend.asarray(upper)
     positive = costs > 0
     exponent = 1.0 / (power + 1.0)
 
@@ -214,57 +205,57 @@ def solve_dual_ascent_batch(
     # smaller stack.
 
     def apply(u):
-        return backend.matmul(stacked, u[:, :, None])[:, :, 0]
+        return (stacked @ u[:, :, None])[:, :, 0]
 
     def apply_transpose(mu):
-        return backend.matmul(transposed, mu[:, :, None])[:, :, 0]
+        return (transposed @ mu[:, :, None])[:, :, 0]
 
     def primal_from_dual(dual):
-        denominator = xp.maximum(apply_transpose(dual), _DENOMINATOR_FLOOR)
+        denominator = np.maximum(apply_transpose(dual), _DENOMINATOR_FLOOR)
         weights = (power * costs / denominator) ** exponent
-        return xp.minimum(weights, upper)
+        return np.minimum(weights, upper)
 
     def masked_objective_terms(weights):
         # 0-cost (and padded) columns sit at weight 0; mask before the
         # negative power so they contribute exactly 0 instead of 0**-p.
-        safe = xp.where(positive, weights, 1.0)
-        return xp.sum(xp.where(positive, costs * safe ** (-power), 0.0), axis=1)
+        safe = np.where(positive, weights, 1.0)
+        return np.sum(np.where(positive, costs * safe ** (-power), 0.0), axis=1)
 
     def dual_value_and_primal(dual):
         # One stacked contraction serves both the inner minimiser and the
         # linear term (primal_from_dual would recompute the same C^T mu).
         linear = apply_transpose(dual)
-        denominator = xp.maximum(linear, _DENOMINATOR_FLOOR)
-        weights = xp.minimum((power * costs / denominator) ** exponent, upper)
+        denominator = np.maximum(linear, _DENOMINATOR_FLOOR)
+        weights = np.minimum((power * costs / denominator) ** exponent, upper)
         value = (
             masked_objective_terms(weights)
-            + xp.sum(xp.where(positive, linear * weights, 0.0), axis=1)
-            - xp.sum(dual, axis=1)
+            + np.sum(np.where(positive, linear * weights, 0.0), axis=1)
+            - np.sum(dual, axis=1)
         )
         return value, weights
 
     def objective(weights):
-        bad = xp.any(positive & (weights <= 0), axis=1)
-        return xp.where(bad, xp.inf, masked_objective_terms(weights))
+        bad = np.any(positive & (weights <= 0), axis=1)
+        return np.where(bad, np.inf, masked_objective_terms(weights))
 
     def scale_to_feasible(weights):
-        top = xp.max(apply(weights), axis=1)
-        if np.any(np.asarray(top) <= 0):
+        top = np.max(apply(weights), axis=1)
+        if np.any(top <= 0):
             raise OptimizationError("cannot scale a zero weight vector to feasibility")
         return weights / top[:, None]
 
     # Initial points, exactly as the sequential solver computes them.
-    row_load = xp.sum(stacked, axis=2)
-    load_top = xp.max(row_load, axis=1)
-    if np.any(np.asarray(load_top) <= 0):
+    row_load = np.sum(stacked, axis=2)
+    load_top = np.max(row_load, axis=1)
+    if np.any(load_top <= 0):
         raise OptimizationError("constraint matrix is identically zero")
-    initial_weights = xp.broadcast_to((0.9 / load_top)[:, None], (count, rmax))
-    reference = xp.max(apply(primal_from_dual(xp.ones((count, k)))), axis=1)
-    usable = xp.isfinite(reference) & (reference > 0)
-    alpha = xp.where(usable, xp.maximum(reference ** (power + 1.0), 1e-12), 1.0)
-    dual = xp.broadcast_to(alpha[:, None], (count, k)) + xp.zeros((count, k))
+    initial_weights = np.broadcast_to((0.9 / load_top)[:, None], (count, rmax))
+    reference = np.max(apply(primal_from_dual(np.ones((count, k)))), axis=1)
+    usable = np.isfinite(reference) & (reference > 0)
+    alpha = np.where(usable, np.maximum(reference ** (power + 1.0), 1e-12), 1.0)
+    dual = np.broadcast_to(alpha[:, None], (count, k)) + np.zeros((count, k))
     value, primal_at_dual = dual_value_and_primal(dual)
-    step_scale = xp.maximum(dual[:, 0], 1e-12)
+    step_scale = np.maximum(dual[:, 0], 1e-12)
     step = float(initial_step) * step_scale
 
     best_weights = scale_to_feasible(initial_weights)
@@ -283,10 +274,10 @@ def solve_dual_ascent_batch(
 
     def flush(exiting: np.ndarray) -> None:
         indices = alive[exiting]
-        out_weights[indices] = backend.to_numpy(best_weights[exiting])
-        out_primal[indices] = backend.to_numpy(best_primal[exiting])
-        out_dual_value[indices] = backend.to_numpy(best_dual_value[exiting])
-        out_step[indices] = backend.to_numpy(step[exiting])
+        out_weights[indices] = best_weights[exiting]
+        out_primal[indices] = best_primal[exiting]
+        out_dual_value[indices] = best_dual_value[exiting]
+        out_step[indices] = step[exiting]
 
     for iteration in range(1, max_iterations + 1):
         if alive.size == 0:
@@ -294,56 +285,56 @@ def solve_dual_ascent_batch(
         iterations[alive] = iteration
         gradient = apply(primal_at_dual) - 1.0
 
-        step = xp.maximum(step, 1e-12 * step_scale)
+        step = np.maximum(step, 1e-12 * step_scale)
         trial = step
-        candidate = xp.maximum(dual + trial[:, None] * gradient, 0.0)
+        candidate = np.maximum(dual + trial[:, None] * gradient, 0.0)
         candidate_value, candidate_primal = dual_value_and_primal(candidate)
-        improved = np.asarray(candidate_value > value)
+        improved = candidate_value > value
         expanding = improved.copy()
         for _ in range(30):
             if not expanding.any():
                 break
-            wider = xp.maximum(dual + (2.0 * trial)[:, None] * gradient, 0.0)
+            wider = np.maximum(dual + (2.0 * trial)[:, None] * gradient, 0.0)
             wider_value, wider_primal = dual_value_and_primal(wider)
-            grow = expanding & np.asarray(wider_value > candidate_value)
-            trial = xp.where(grow, 2.0 * trial, trial)
-            candidate = xp.where(grow[:, None], wider, candidate)
-            candidate_value = xp.where(grow, wider_value, candidate_value)
-            candidate_primal = xp.where(grow[:, None], wider_primal, candidate_primal)
+            grow = expanding & (wider_value > candidate_value)
+            trial = np.where(grow, 2.0 * trial, trial)
+            candidate = np.where(grow[:, None], wider, candidate)
+            candidate_value = np.where(grow, wider_value, candidate_value)
+            candidate_primal = np.where(grow[:, None], wider_primal, candidate_primal)
             expanding = grow
         backing = ~improved
         for _ in range(60):
             if not backing.any():
                 break
-            trial = xp.where(backing, 0.5 * trial, trial)
+            trial = np.where(backing, 0.5 * trial, trial)
             backtracks[alive] += backing
-            retry = xp.maximum(dual + trial[:, None] * gradient, 0.0)
+            retry = np.maximum(dual + trial[:, None] * gradient, 0.0)
             retry_value, retry_primal = dual_value_and_primal(retry)
-            success = backing & np.asarray(retry_value > value)
-            candidate = xp.where(backing[:, None], retry, candidate)
-            candidate_value = xp.where(backing, retry_value, candidate_value)
-            candidate_primal = xp.where(backing[:, None], retry_primal, candidate_primal)
+            success = backing & (retry_value > value)
+            candidate = np.where(backing[:, None], retry, candidate)
+            candidate_value = np.where(backing, retry_value, candidate_value)
+            candidate_primal = np.where(backing[:, None], retry_primal, candidate_primal)
             improved = improved | success
             backing = backing & ~success
 
         stalled = ~improved
-        dual = xp.where(improved[:, None], candidate, dual)
-        value = xp.where(improved, candidate_value, value)
-        primal_at_dual = xp.where(improved[:, None], candidate_primal, primal_at_dual)
-        step = xp.where(improved, trial, step)
-        best_dual_value = xp.maximum(best_dual_value, value)
+        dual = np.where(improved[:, None], candidate, dual)
+        value = np.where(improved, candidate_value, value)
+        primal_at_dual = np.where(improved[:, None], candidate_primal, primal_at_dual)
+        step = np.where(improved, trial, step)
+        best_dual_value = np.maximum(best_dual_value, value)
 
         check_now = stalled | (iteration % 10 == 0) | (iteration == max_iterations)
         if check_now.any():
             weights = scale_to_feasible(primal_at_dual)
             primal = objective(weights)
-            better = check_now & np.asarray(primal < best_primal)
-            best_primal = xp.where(better, primal, best_primal)
-            best_weights = xp.where(better[:, None], weights, best_weights)
+            better = check_now & (primal < best_primal)
+            best_primal = np.where(better, primal, best_primal)
+            best_weights = np.where(better[:, None], weights, best_weights)
             gap = best_primal - best_dual_value
-            positive_primal = np.asarray(best_primal > 0)
-            tight = positive_primal & np.asarray(gap <= tolerance * best_primal)
-            loose = positive_primal & np.asarray(gap <= np.sqrt(tolerance) * best_primal)
+            positive_primal = best_primal > 0
+            tight = positive_primal & (gap <= tolerance * best_primal)
+            loose = positive_primal & (gap <= np.sqrt(tolerance) * best_primal)
             converged[alive] |= check_now & (tight | (stalled & loose))
             exiting = check_now & (tight | stalled)
             if exiting.any():

@@ -360,52 +360,36 @@ def pcg_solve(
     >>> info["unconverged"]
     0
     """
-    # One loop serves every backend: ``xp`` is the active array namespace
-    # (numpy by default — every operation below is then exactly the numpy
-    # call it always was) and the single mutation CG needs goes through
-    # ``backend.index_add`` (in place on numpy, functional ``.at`` on JAX).
-    # Compaction masks stay host-side numpy so column bookkeeping never
-    # forces a device round-trip beyond the per-iteration norms.
-    from repro.utils.backend import get_backend
-
-    backend = get_backend()
-    xp = backend.xp
     rhs = np.asarray(rhs, dtype=float)
     single = rhs.ndim == 1
     b = rhs[:, None] if single else rhs
     if max_iterations is None:
         max_iterations = max(10 * b.shape[0], 100)
-    if not backend.is_default:
-        b = backend.asarray(b)
     if preconditioner is not None:
         inverse_diag = (1.0 / np.clip(np.asarray(preconditioner, dtype=float), 1e-300, None))[:, None]
-        if not backend.is_default:
-            inverse_diag = backend.asarray(inverse_diag)
     else:
         inverse_diag = None
-    norms = np.asarray(xp.linalg.norm(b, axis=0))
+    norms = np.linalg.norm(b, axis=0)
     targets = tolerance * np.where(norms > 0, norms, 1.0)
     guess_applications = 0
     if deflation is not None and deflation.size:
-        x = deflation.guess(np.asarray(b, dtype=float))
+        x = deflation.guess(b)
         if x.ndim == 1:
             x = x[:, None]
-        if not backend.is_default:
-            x = backend.asarray(x)
         residual = b - matvec(x)
         guess_applications = 1
     else:
-        x = xp.zeros_like(b)
+        x = np.zeros_like(b)
         residual = b.copy()
     active = np.arange(b.shape[1])  # columns still iterating
     z = residual * inverse_diag if inverse_diag is not None else residual.copy()
     direction = z.copy()
-    rho = xp.sum(residual * z, axis=0)
+    rho = np.sum(residual * z, axis=0)
     iterations = 0
     column_iterations = 0
     frozen = 0
     for _ in range(max_iterations):
-        live = np.asarray(xp.linalg.norm(residual, axis=0)) > targets[active]
+        live = np.linalg.norm(residual, axis=0) > targets[active]
         if not np.any(live):
             active = active[:0]
             residual = residual[:, :0]
@@ -418,9 +402,9 @@ def pcg_solve(
         iterations += 1
         column_iterations += int(active.size)
         applied = matvec(direction)
-        curvature = xp.sum(direction * applied, axis=0)
+        curvature = np.sum(direction * applied, axis=0)
         # Columns that hit a (numerically) semidefinite direction freeze too.
-        sound = np.asarray(curvature) > 0
+        sound = curvature > 0
         if not np.any(sound):
             frozen += int(active.size)
             active = active[:0]
@@ -435,17 +419,15 @@ def pcg_solve(
             rho = rho[sound]
             curvature = curvature[sound]
         step = rho / curvature
-        x = backend.index_add(x, active, step * direction)
+        x[:, active] += step * direction
         residual = residual - step * applied
         z = residual * inverse_diag if inverse_diag is not None else residual
-        rho_next = xp.sum(residual * z, axis=0)
-        direction = z + (rho_next / xp.maximum(rho, 1e-300)) * direction
+        rho_next = np.sum(residual * z, axis=0)
+        direction = z + (rho_next / np.maximum(rho, 1e-300)) * direction
         rho = rho_next
     unconverged = frozen
     if active.size:
-        unconverged += int(np.sum(np.asarray(xp.linalg.norm(residual, axis=0)) > targets[active]))
-    if not backend.is_default:
-        x = backend.to_numpy(x)
+        unconverged += int(np.sum(np.linalg.norm(residual, axis=0) > targets[active]))
     deflation_vectors = 0 if deflation is None else deflation.size
     absorb_applications = 0
     if deflation is not None:
@@ -508,14 +490,6 @@ def hutchpp_trace(
     >>> bool(recycled == cold and cache["basis"].shape == (3, 3))
     True
     """
-    # Probes are always drawn from the numpy generator and the sketch basis
-    # is always stored as numpy: the stream (and hence the estimate) is
-    # identical on every backend, and a recycled sketch never carries a
-    # foreign array type.  Only the dense algebra (QR, projection) moves to
-    # the active backend.
-    from repro.utils.backend import get_backend
-
-    backend = get_backend()
     if rng is None:
         rng = np.random.default_rng(0)
     sketch_size = max(1, min(samples // 3, size))
@@ -526,24 +500,14 @@ def hutchpp_trace(
         if cached is not None and cached.shape == (size, sketch_size):
             basis = cached
     if basis is None:
-        image = apply_fn(probes)
-        if backend.is_default:
-            basis, _ = np.linalg.qr(image)
-        else:
-            basis = backend.to_numpy(backend.xp.linalg.qr(backend.asarray(image))[0])
+        basis, _ = np.linalg.qr(apply_fn(probes))
         if sketch is not None:
             sketch["basis"] = basis
     head = float(np.sum(basis * apply_fn(basis)))
     if basis.shape[1] >= size:
         return head
     residual_probes = rng.choice([-1.0, 1.0], size=(size, sketch_size))
-    if backend.is_default:
-        residual_probes = residual_probes - basis @ (basis.T @ residual_probes)
-    else:
-        lifted = backend.asarray(residual_probes)
-        lifted_basis = backend.asarray(basis)
-        projected = backend.matmul(lifted_basis, backend.matmul(lifted_basis.T, lifted))
-        residual_probes = backend.to_numpy(lifted - projected)
+    residual_probes = residual_probes - basis @ (basis.T @ residual_probes)
     tail = float(np.sum(residual_probes * apply_fn(residual_probes))) / sketch_size
     return head + tail
 

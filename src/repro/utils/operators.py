@@ -36,7 +36,6 @@ import numpy as np
 import scipy.linalg
 
 from repro.exceptions import MaterializationError, SingularStrategyError
-from repro.utils.backend import get_backend
 from repro.utils.linalg import kron_all, symmetrize
 
 __all__ = [
@@ -143,9 +142,6 @@ def kron_apply(
     >>> kron_apply(factors, np.array([1.0, 2.0, 3.0, 4.0]))
     array([4., 6.])
     """
-    backend = get_backend()
-    if not backend.is_default:
-        return _kron_apply_generic(backend, factors, vectors, transpose)
     mats = [np.asarray(f, dtype=float) for f in factors]
     x = np.asarray(vectors, dtype=float)
     single = x.ndim == 1
@@ -159,29 +155,6 @@ def kron_apply(
         tensor = np.moveaxis(np.moveaxis(tensor, axis, -1) @ applied.T, -1, axis)
     out = tensor.reshape(-1, batch)
     return out[:, 0] if single else out
-
-
-def _kron_apply_generic(backend, factors, vectors, transpose: bool) -> np.ndarray:
-    """The same vec-trick contraction on an alternate backend's ``xp``.
-
-    Inputs cross onto the backend once, the per-axis contractions run there
-    (e.g. under XLA for JAX), and the result returns as numpy float64 — the
-    package boundary dtype — so callers never see backend array types.
-    """
-    xp = backend.xp
-    mats = [backend.asarray(f) for f in factors]
-    x = backend.asarray(vectors)
-    single = x.ndim == 1
-    if single:
-        x = x[:, None]
-    in_dims = [f.shape[0] if transpose else f.shape[1] for f in mats]
-    batch = x.shape[1]
-    tensor = x.reshape(tuple(in_dims) + (batch,))
-    for axis, factor in enumerate(mats):
-        applied = factor.T if transpose else factor
-        tensor = xp.moveaxis(backend.matmul(xp.moveaxis(tensor, axis, -1), applied.T), -1, axis)
-    out = tensor.reshape(-1, batch)
-    return backend.to_numpy(out[:, 0] if single else out)
 
 
 def kron_reduce(factors, reducer) -> np.ndarray:
@@ -238,13 +211,6 @@ def kron_row_block(factors: Sequence[np.ndarray], indices: np.ndarray) -> np.nda
     indices = np.asarray(indices, dtype=int)
     mats = [np.asarray(f, dtype=float) for f in factors]
     digits = np.unravel_index(indices, [m.shape[0] for m in mats])
-    backend = get_backend()
-    if not backend.is_default:
-        block = backend.asarray(np.ones((indices.shape[0], 1)))
-        for factor, rows in zip(mats, digits):
-            picked = backend.asarray(factor[rows])
-            block = backend.einsum("ra,rb->rab", block, picked).reshape(indices.shape[0], -1)
-        return backend.to_numpy(block)
     block = np.ones((indices.shape[0], 1))
     for factor, rows in zip(mats, digits):
         picked = factor[rows]

@@ -54,23 +54,6 @@ def pytest_runtest_call(item):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.fixture(params=["numpy", "jax"])
-def backend(request):
-    """Run the decorated test once per array backend.
-
-    The numpy case is the bit-for-bit default path; the jax case activates
-    the optional backend for the duration of the test (skipped automatically
-    when jax is not installed, so NumPy-only environments see no change).
-    """
-    from repro.utils.backend import available_backends, backend_scope
-
-    name = request.param
-    if name not in available_backends():
-        pytest.skip(f"{name} backend not installed")
-    with backend_scope(name) as active:
-        yield active
-
-
 @pytest.fixture
 def privacy() -> PrivacyParams:
     """The paper's default privacy setting."""

@@ -447,21 +447,6 @@ class TestForecastEngine:
         (counts,) = history.values()
         assert counts[workload_fingerprint(workload)] == 2
 
-    def test_budget_advice_is_forecast_weighted_and_read_only(self):
-        clock = FakeClock()
-        engine = forecast_engine(Planner(), clock, top_k=4)
-        hot, warm = prefix_workload(), marginal_workload()
-        for _ in range(3):
-            engine.record("tenant", hot)
-        engine.record("tenant", warm)
-        session = Session(PRIVACY, data=np.arange(float(CELLS)))
-        advice = engine.budget_advice(session.accountant, epochs=2)
-        hot_fp, warm_fp = workload_fingerprint(hot), workload_fingerprint(warm)
-        assert advice[hot_fp] > advice[warm_fp] > 0
-        # One epoch's slice of the remaining budget, split proportionally.
-        assert sum(advice.values()) == pytest.approx(PRIVACY.epsilon / 2)
-        assert session.accountant.spent_epsilon == 0.0  # advisory only
-
     def test_background_mode_preplans_without_tick(self):
         clock = FakeClock()
         planner = Planner()
@@ -489,28 +474,10 @@ class TestServerForecast:
             assert forecast["shapes"] == 1
             assert server.forecast is not None
 
-    def test_server_budget_advice(self):
-        clock = FakeClock()
-        planner = Planner()
-        engine = forecast_engine(planner, clock)
-        with Server(
-            PRIVACY,
-            data=np.arange(float(CELLS)),
-            workers=2,
-            planner=planner,
-            forecast=engine,
-        ) as server:
-            server.ask("alice", np.tri(CELLS), epsilon=0.5)
-            advice = server.budget_advice("alice")
-            assert len(advice) == 1
-            (suggestion,) = advice.values()
-            assert suggestion == pytest.approx(PRIVACY.epsilon - 0.5)
-
     def test_forecast_off_by_default(self):
         with Server(PRIVACY, data=np.arange(float(CELLS)), workers=2) as server:
             assert server.forecast is None
             assert server.stats()["forecast"] is None
-            assert server.budget_advice("nobody") == {}
 
 
 # --------------------------------------------------------- stats golden shape

@@ -32,12 +32,6 @@ from repro.utils.operators import (
 )
 from repro.workloads import all_range_queries
 
-# Every test in this module runs once per available array backend: the
-# numpy case is the default bit-for-bit path, the jax case exercises the
-# optional backend against the same dense oracles (auto-skipped when jax
-# is not installed).
-pytestmark = pytest.mark.usefixtures("backend")
-
 PRIVACY = PrivacyParams(0.5, 1e-4)
 
 factor_matrices = hnp.arrays(

@@ -1,5 +1,7 @@
 """Tests for the Gaussian, Laplace and matrix mechanisms and the accountant."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,6 +165,13 @@ class TestMatrixMechanism:
         ]
         empirical = np.sqrt(np.mean(squared))
         assert empirical == pytest.approx(mechanism.expected_error(workload), rel=0.1)
+
+    def test_support_memo_does_not_outlive_its_workloads(self, privacy, rng):
+        mechanism = MatrixMechanism(identity_strategy(8), privacy)
+        for _ in range(50):
+            mechanism.run(all_range_queries_1d(8), np.ones(8), random_state=rng)
+        gc.collect()
+        assert len(mechanism._supported_workloads) == 0
 
     def test_nonnegative_option(self, privacy, rng):
         workload = Workload.identity(6)

@@ -41,7 +41,6 @@ def hits(findings, rule):
 class TestFramework:
     def test_rule_catalog(self):
         assert RULE_IDS == (
-            "backend-seam",
             "budget-flow",
             "lock-discipline",
             "no-densify",
@@ -102,7 +101,7 @@ class TestPragmas:
             {
                 "src/repro/x.py": """\
                 def f(op):
-                    # repro-lint: allow[backend-seam] reason=wrong rule on purpose
+                    # repro-lint: allow[lock-discipline] reason=wrong rule on purpose
                     return op.to_dense()
                 """
             },
@@ -392,79 +391,6 @@ class TestNoDensify:
         )
         flagged = hits(findings, "no-densify")
         assert [finding.line for finding in flagged] == [6, 7]
-
-
-# --------------------------------------------------------------- BackendSeam
-class TestBackendSeam:
-    def test_heavy_numpy_off_the_default_branch_is_flagged(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {
-                "src/repro/utils/linalg.py": """\
-                import numpy as np
-                from repro.utils.backend import get_backend
-
-                def apply(a, b):
-                    backend = get_backend()
-                    if backend.is_default:
-                        return np.matmul(a, b)
-                    return np.matmul(a, b)
-                """
-            },
-        )
-        flagged = hits(findings, "backend-seam")
-        assert [finding.line for finding in flagged] == [8]
-
-    def test_early_return_guard_and_host_side_numpy_are_clean(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {
-                "src/repro/utils/linalg.py": """\
-                import numpy as np
-                from repro.utils.backend import get_backend
-
-                def apply(a, b):
-                    backend = get_backend()
-                    if not backend.is_default:
-                        out = backend.matmul(backend.asarray(a), backend.asarray(b))
-                        return backend.to_numpy(out)
-                    # Past the early return this is the default branch.
-                    mask = np.asarray(a) > 0  # host-side numpy: always legal
-                    return np.matmul(a, b), mask
-                """
-            },
-        )
-        assert hits(findings, "backend-seam") == []
-
-    def test_asarray_without_to_numpy_boundary_is_flagged(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {
-                "src/repro/utils/linalg.py": """\
-                from repro.utils.backend import get_backend
-
-                def leak(a):
-                    backend = get_backend()
-                    return backend.asarray(a) * 2
-                """
-            },
-        )
-        flagged = hits(findings, "backend-seam")
-        assert len(flagged) == 1 and "to_numpy" in flagged[0].message
-
-    def test_functions_off_the_seam_may_use_numpy_freely(self, tmp_path):
-        findings = lint_tree(
-            tmp_path,
-            {
-                "src/repro/utils/linalg.py": """\
-                import numpy as np
-
-                def dense_path(a, b):
-                    return np.linalg.eigh(np.matmul(a, b.T))
-                """
-            },
-        )
-        assert hits(findings, "backend-seam") == []
 
 
 # ------------------------------------------------------- manifest <-> source

@@ -1,6 +1,6 @@
 """repro-lint: AST enforcement of the engine's documented invariants.
 
-Five checkers, each the mechanical form of one architecture-doc rule:
+Four checkers, each the mechanical form of one architecture-doc rule:
 
 ========================  ====================================================
 ``lock-discipline``       manifest-registered shared state is written under
@@ -11,9 +11,6 @@ Five checkers, each the mechanical form of one architecture-doc rule:
                           write-ahead ledger record precedes the draw (§8)
 ``no-densify``            operators densify only at budget-consulting
                           dispatch sites (§3)
-``backend-seam``          backend-threaded functions keep heavy numpy on the
-                          ``is_default`` branch and ``to_numpy`` their
-                          boundaries (PR 9)
 ========================  ====================================================
 
 See ``docs/linting.md`` for the rule catalog and pragma syntax.
@@ -21,7 +18,6 @@ See ``docs/linting.md`` for the rule catalog and pragma syntax.
 
 from __future__ import annotations
 
-from .backend_seam import BackendSeamChecker
 from .base import (
     Checker,
     Finding,
@@ -38,11 +34,10 @@ from .manifest import LOCK_MANIFEST, LockRule, checkable_rules, render_lock_tabl
 from .no_densify import NoDensifyChecker
 from .worker_purity import WorkerPurityChecker
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 #: The default checker battery, in rule-id order.
 ALL_CHECKERS: tuple[Checker, ...] = (
-    BackendSeamChecker(),
     BudgetFlowChecker(),
     LockDisciplineChecker(),
     NoDensifyChecker(),

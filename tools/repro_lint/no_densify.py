@@ -76,8 +76,6 @@ class NoDensifyChecker(Checker):
         types = self._operator_types(project)
         findings: list[Finding] = []
         for source in project.files.values():
-            if source.module == "repro.utils.backend":
-                continue
             findings.extend(self._check_file(source, types))
         return findings
 
