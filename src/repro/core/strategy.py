@@ -10,9 +10,9 @@ through ``A^T A`` and its L2 sensitivity, so operator-backed strategies run
 the whole analysis pipeline; running the mechanism on real data still
 requires an explicit strategy.
 
-Spectral quantities (``rank``, ``sensitivity_l2``) are cached: the first
-access pays for an ``eigvalsh``/diagonal computation and every later access
-is free.
+Spectral quantities (``rank``, ``sensitivity_l2``) and ``sensitivity_l1``
+are cached: the first access pays for an ``eigvalsh``/diagonal/column-sum
+computation and every later access is free.
 """
 
 from __future__ import annotations
@@ -86,6 +86,7 @@ class Strategy(StructuredGramMixin):
         # Cached spectral work (eigenvalues of the Gram, sensitivity, rank).
         self._spectrum: np.ndarray | None = None
         self._sensitivity_l2: float | None = None
+        self._sensitivity_l1: float | None = None
         self._rank: int | None = None
 
     # ----------------------------------------------------------- constructors
@@ -228,8 +229,10 @@ class Strategy(StructuredGramMixin):
 
     @property
     def sensitivity_l1(self) -> float:
-        """Maximum L1 column norm of ``A`` (requires the explicit matrix)."""
-        return float(np.max(np.sum(np.abs(self.matrix), axis=0)))
+        """Maximum L1 column norm of ``A`` (requires the explicit matrix; cached)."""
+        if self._sensitivity_l1 is None:
+            self._sensitivity_l1 = float(np.max(np.sum(np.abs(self.matrix), axis=0)))
+        return self._sensitivity_l1
 
     def _gram_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of ``A^T A`` (ascending), computed once and cached.

@@ -115,6 +115,8 @@ class Workload(StructuredGramMixin):
         self._eigenvalues: np.ndarray | None = None
         self._eigenvectors: np.ndarray | None = None
         self._sensitivity_l2: float | None = None
+        # (name, labels) of the last query_labels call.
+        self._labels: tuple[str, tuple[str, ...]] | None = None
 
     # ----------------------------------------------------------- constructors
     @classmethod
@@ -303,6 +305,19 @@ class Workload(StructuredGramMixin):
     def shape(self) -> tuple[int, int]:
         """``(m, n)``."""
         return (self.query_count, self.column_count)
+
+    @property
+    def query_labels(self) -> tuple[str, ...]:
+        """One ``name[i]`` label per query (``workload[i]`` when unnamed).
+
+        Cached against the current ``name``: answering the same workload
+        again shares one tuple, and renaming the workload relabels it.
+        """
+        if self._labels is None or self._labels[0] != self.name:
+            stem = self.name or "workload"
+            labels = tuple(f"{stem}[{i}]" for i in range(self.query_count))
+            self._labels = (self.name, labels)
+        return self._labels[1]
 
     @property
     def sensitivity_l2(self) -> float:

@@ -938,7 +938,8 @@ class Server:
         budget) — a burst of N identical requests shows as 1 leader + N-1
         followers.  ``stages`` carries per-stage latency accounting (running
         mean and windowed p95, milliseconds) for ``queue_wait``,
-        ``plan_lookup``, ``execute`` and ``derive``.
+        ``plan_lookup`` (warm plans), ``plan_build`` (cold plans), ``execute``
+        and ``derive``.
 
         With a durable state tier attached, ``store`` carries the store's
         own counters (row counts, ``busy_retries``, ``persist_failures``,

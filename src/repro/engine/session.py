@@ -36,6 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -66,7 +67,7 @@ class SessionAnswer:
     its ``batch_size``.
     """
 
-    labels: list[str]
+    labels: Sequence[str]
     answers: np.ndarray
     expected_error: float | None
     mechanism: str
@@ -157,8 +158,9 @@ class Session:
         ``plan.execute(...)`` inline.
     stage_timer:
         Optional hook ``(stage, seconds)`` fed per-request stage latencies
-        (``"plan_lookup"``, ``"execute"``, ``"derive"``) — the server's
-        per-stage accounting.  Must be cheap and non-raising.
+        (``"plan_lookup"`` for a warm plan, ``"plan_build"`` for a cold one,
+        ``"execute"``, ``"derive"``) — the server's per-stage accounting.
+        Must be cheap and non-raising.
     store / tenant:
         Optional durable state tier (a :class:`~repro.engine.store.StateStore`)
         and the tenant key this session's state lives under.  With a store
@@ -242,10 +244,9 @@ class Session:
             return data_vector(data, self.schema)
         return np.asarray(data, dtype=float)
 
-    def _resolve_request(self, request) -> tuple[Workload, list[str]]:
+    def _resolve_request(self, request) -> tuple[Workload, Sequence[str]]:
         if isinstance(request, Workload):
-            stem = request.name or "workload"
-            return request, [f"{stem}[{i}]" for i in range(request.query_count)]
+            return request, request.query_labels
         if isinstance(request, str):
             request = [request]
         if isinstance(request, (list, tuple)) and request and all(
@@ -448,7 +449,10 @@ class Session:
             key = None if cache is None else self.planner.plan_key(workload, params)
             cache_hit = key is not None and cache.peek(key) is not None
             plan = self.planner.plan(workload, params, key=key)
-            self._record_stage("plan_lookup", time.perf_counter() - lookup_started)
+            self._record_stage(
+                "plan_lookup" if cache_hit else "plan_build",
+                time.perf_counter() - lookup_started,
+            )
             rng = self._request_rng(random_state)
             execute_started = time.perf_counter()
             if self._plan_executor is not None:
@@ -570,7 +574,7 @@ class Session:
     def _record(
         self,
         workload: Workload,
-        labels: list[str],
+        labels: Sequence[str],
         plan: Plan,
         result: EngineResult,
         params: PrivacyParams,

@@ -18,6 +18,7 @@ the L1 sensitivity.  Strategy selection for this variant is provided by
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,9 @@ class LaplaceMatrixMechanism:
         if self.epsilon <= 0:
             raise PrivacyError(f"epsilon must be positive, got {self.epsilon}")
         self.nonnegative = nonnegative
+        # Workloads whose support by the strategy has already been verified,
+        # held weakly as in MatrixMechanism.
+        self._supported_workloads: weakref.WeakSet[Workload] = weakref.WeakSet()
 
     @property
     def noise_scale(self) -> float:
@@ -92,11 +96,13 @@ class LaplaceMatrixMechanism:
             raise SingularStrategyError(
                 f"workload has {workload.column_count} cells but the strategy has {matrix.shape[1]}"
             )
-        if not self.strategy.supports(workload.gram):
-            raise SingularStrategyError(
-                "the strategy cannot answer this workload: its row space does not "
-                "contain the workload's row space"
-            )
+        if workload not in self._supported_workloads:
+            if not self.strategy.supports(workload.gram):
+                raise SingularStrategyError(
+                    "the strategy cannot answer this workload: its row space does not "
+                    "contain the workload's row space"
+                )
+            self._supported_workloads.add(workload)
         rng = as_generator(random_state)
         scale = self.noise_scale
         noisy = matrix @ data + rng.laplace(0.0, scale, size=matrix.shape[0])

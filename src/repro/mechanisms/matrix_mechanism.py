@@ -28,7 +28,7 @@ from repro.exceptions import SingularStrategyError
 from repro.mechanisms.gaussian import GaussianMechanism
 from repro.mechanisms.inference import least_squares_estimate, nonnegative_least_squares_estimate
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_vector
+from repro.utils.validation import check_matrix, check_vector
 
 __all__ = ["MatrixMechanism", "MechanismResult"]
 
@@ -72,6 +72,9 @@ class MatrixMechanism:
         # Cached Cholesky factor of A^T A for repeated runs (None until first
         # use; False when the strategy is rank-deficient and lstsq is needed).
         self._normal_factor = None
+        # Gaussian noise scale of the validated strategy (None until first
+        # use): like the factor, fixed once the strategy and budget are.
+        self._noise_scale: float | None = None
         # Workloads whose support by the strategy has already been verified,
         # held weakly so a long-lived mechanism never pins its callers' workloads.
         self._supported_workloads: weakref.WeakSet[Workload] = weakref.WeakSet()
@@ -111,6 +114,14 @@ class MatrixMechanism:
             raise SingularStrategyError(
                 f"workload has {workload.column_count} cells but the strategy has {matrix.shape[1]}"
             )
+        if self._noise_scale is None:
+            # Plan constants, paid for on the first run only.  The scale is
+            # GaussianMechanism.noise_scale's raw column-norm expression, not
+            # the Gram-diagonal Strategy.sensitivity_l2: that one can differ
+            # in the last bits and would change every released answer.
+            check_matrix(matrix, "strategy matrix")
+            self._noise_scale = self._gaussian.noise_scale(matrix)
+        scale = self._noise_scale
         if workload not in self._supported_workloads:
             if not self.strategy.supports(workload.gram):
                 raise SingularStrategyError(
@@ -119,7 +130,8 @@ class MatrixMechanism:
                 )
             self._supported_workloads.add(workload)
         rng = as_generator(random_state)
-        noisy = self._gaussian.answer(matrix, data, random_state=rng)
+        # The arithmetic and draw order of GaussianMechanism.answer.
+        noisy = matrix @ data + rng.normal(0.0, scale, size=matrix.shape[0])
         if self.nonnegative:
             estimate = nonnegative_least_squares_estimate(matrix, noisy)
         else:
@@ -132,7 +144,7 @@ class MatrixMechanism:
             answers=answers,
             estimate=estimate,
             strategy_answers=noisy,
-            noise_scale=self._gaussian.noise_scale(matrix),
+            noise_scale=scale,
         )
 
     def answer(self, workload: Workload, data: np.ndarray, *, random_state=None) -> np.ndarray:

@@ -442,6 +442,22 @@ class TestSingleRequestBatch:
         assert answer.spent == PrivacyParams(0.4, 4e-5)
         assert session.accountant.history[0][0] == "sql-workload"
 
+    def test_workload_labels_built_once_per_name(self, schema, data):
+        session = Session(PrivacyParams(1.0, 1e-4), schema=schema, data=data, random_state=0)
+        workload = all_range_queries_1d(8)
+        workload.name = "ranges"
+        first = session.ask(workload, epsilon=0.2, data=data)
+        second = session.ask(workload, epsilon=0.2, data=data)
+        assert first.labels is second.labels
+        assert first.labels[:2] == ("ranges[0]", "ranges[1]")
+        assert len(first.labels) == workload.query_count
+        workload.name = "renamed"
+        renamed = session.ask(workload, epsilon=0.2, data=data)
+        assert renamed.labels[0] == "renamed[0]"
+        assert first.labels[0] == "ranges[0]"
+        sql = session.ask("SELECT COUNT(*) FROM s GROUP BY gender", epsilon=0.2)
+        assert sql.labels == ["gender = 'M'", "gender = 'F'"]
+
 
 # ------------------------------------------------- reuse probe at scale
 class TestReuseProbeNeverDensifies:

@@ -355,14 +355,22 @@ class TestAdmissionControl:
 
     def test_stage_stats_populated(self):
         server = self._server()
+        # The cold first request builds its plan: a plan_build, not a lookup.
+        server.serve(self.LINES[:1])
+        cold = server.stats()["stages"]
+        assert cold["plan_build"]["count"] == 1
+        assert "plan_lookup" not in cold
         # The follow-up reuses tenant a's release, exercising the derive stage.
-        lines = self.LINES + [
+        lines = self.LINES[1:] + [
             "{\"tenant\": \"a\", \"sql\": \"SELECT COUNT(*) FROM t WHERE color = 'red'\"}",
         ]
         server.serve_async(lines, queue_depth=8)
         server.close()
         stages = server.stats()["stages"]
-        for stage in ("queue_wait", "plan_lookup", "execute", "derive"):
+        # Tenants b and c repeat a's shape and find its plan warm.
+        assert stages["plan_build"]["count"] == 1
+        assert stages["plan_lookup"]["count"] == 2
+        for stage in ("queue_wait", "plan_lookup", "plan_build", "execute", "derive"):
             assert stage in stages, stages
             assert stages[stage]["count"] >= 1
             assert stages[stage]["mean_ms"] >= 0.0

@@ -119,6 +119,21 @@ class TestLaplaceMatrixMechanism:
         with pytest.raises(PrivacyError):
             LaplaceMatrixMechanism(identity_strategy(4), -1.0)
 
+    def test_support_checked_once_per_workload(self, monkeypatch):
+        from repro import Strategy
+
+        workload = example_workload()
+        mechanism = LaplaceMatrixMechanism(wavelet_strategy(8), 0.5)
+        mechanism.run(workload, np.ones(8), random_state=0)
+        calls = []
+        original = Strategy.supports
+        monkeypatch.setattr(
+            Strategy, "supports", lambda self, gram: calls.append(1) or original(self, gram)
+        )
+        for seed in range(5):
+            mechanism.run(workload, np.ones(8), random_state=seed)
+        assert calls == []
+
 
 class TestGaussianVsLaplaceRegimes:
     def test_gaussian_wins_for_large_workloads_at_matching_budgets(self):

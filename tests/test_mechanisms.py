@@ -180,6 +180,64 @@ class TestMatrixMechanism:
         assert np.all(result.estimate >= 0)
 
 
+class TestMatrixMechanismPlanConstants:
+    """Strategy validation and noise calibration happen on the first run only."""
+
+    def test_later_runs_skip_validation_and_calibration(self, privacy, rng, fig1_workload, monkeypatch):
+        import repro.mechanisms.gaussian as gaussian_module
+        import repro.mechanisms.matrix_mechanism as matrix_module
+
+        mechanism = MatrixMechanism(wavelet_strategy(8), privacy)
+        mechanism.run(fig1_workload, np.ones(8), random_state=rng)
+        calls = {"noise_scale": 0, "check_matrix": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            GaussianMechanism, "noise_scale", counted("noise_scale", GaussianMechanism.noise_scale)
+        )
+        for module in (gaussian_module, matrix_module):
+            monkeypatch.setattr(module, "check_matrix", counted("check_matrix", module.check_matrix))
+        for _ in range(20):
+            mechanism.run(fig1_workload, np.ones(8), random_state=rng)
+        assert calls == {"noise_scale": 0, "check_matrix": 0}
+
+    def test_non_finite_strategy_still_rejected_on_first_run(self, privacy, fig1_workload):
+        strategy = wavelet_strategy(8)
+        strategy.matrix[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            MatrixMechanism(strategy, privacy).run(fig1_workload, np.ones(8), random_state=0)
+
+    def test_noise_scale_is_the_max_column_norm_calibration(self, privacy, rng, fig1_workload):
+        strategy = wavelet_strategy(8)
+        column_norms = [
+            np.sqrt(sum(row[j] ** 2 for row in strategy.matrix.tolist())) for j in range(8)
+        ]
+        expected = privacy.gaussian_scale(max(column_norms))
+        mechanism = MatrixMechanism(strategy, privacy)
+        for _ in range(2):
+            result = mechanism.run(fig1_workload, np.ones(8), random_state=rng)
+            assert result.noise_scale == pytest.approx(expected, rel=1e-12)
+
+    def test_reused_mechanism_matches_fresh_one_bit_for_bit(self, privacy, fig1_workload):
+        data = np.array([30.0, 40.0, 10.0, 5.0, 25.0, 35.0, 15.0, 10.0])
+        reused = MatrixMechanism(wavelet_strategy(8), privacy)
+        reused.run(fig1_workload, data, random_state=1)
+        for seed in range(3):
+            fresh = MatrixMechanism(wavelet_strategy(8), privacy).run(
+                fig1_workload, data, random_state=seed
+            )
+            again = reused.run(fig1_workload, data, random_state=seed)
+            np.testing.assert_array_equal(again.answers, fresh.answers)
+            np.testing.assert_array_equal(again.estimate, fresh.estimate)
+            assert again.noise_scale == fresh.noise_scale
+
+
 class TestAccountant:
     def test_spend_within_budget(self):
         accountant = PrivacyAccountant(PrivacyParams(1.0, 1e-4))
