@@ -43,14 +43,13 @@ section of ``docs/architecture.md``.
 """
 
 # Submodules are imported lazily (PEP 562) so that importing one engine
-# module (e.g. the mechanism protocol, used by repro.evaluation) does not
+# module (e.g. the mechanism protocol) does not
 # drag in the whole executor stack — the Session pulls the relational front
 # end, which entry points like `python -m repro list` never need.
 _EXPORTS = {
     "ArrivalRecorder": "repro.engine.forecast",
     "BudgetExceededError": "repro.mechanisms.accountant",
     "DirectMechanism": "repro.engine.mechanism",
-    "EngineResult": "repro.engine.mechanism",
     "ForecastEngine": "repro.engine.forecast",
     "Forecaster": "repro.engine.forecast",
     "Mechanism": "repro.engine.mechanism",

@@ -15,14 +15,15 @@ moves the two CPU-heavy stages to a ``ProcessPoolExecutor``:
   build to a worker and caches the returned plan as usual.
 
 **What crosses the pickle boundary.**  A worker receives ``(key, plan,
-workload, data, params, rng)`` and returns the :class:`~repro.engine
-.mechanism.EngineResult`.  Plans are content-addressed (the ``key`` is the
-planner's cache key), so each worker keeps a small memo of ``key ->
-(plan, workload)`` and the parent ships the *key alone* first; only a
-worker that has never seen the key answers with :class:`_NeedPayload` and
-the parent resends the full objects once.  After each worker has seen a hot
-shape, a request costs one tiny payload (the data vector and the request's
-RNG state) each way instead of re-pickling a potentially dense strategy.
+workload, data, params, rng)`` and returns the :class:`~repro.mechanisms
+.matrix_mechanism.MechanismResult`.  Plans are content-addressed (the
+``key`` is the planner's cache key), so each worker keeps a small memo of
+``key -> (plan, workload)`` and the parent ships the *key alone* first;
+only a worker that has never seen the key answers with
+:class:`_NeedPayload` and the parent resends the full objects once.  After
+each worker has seen a hot shape, a request costs one tiny payload (the
+data vector and the request's RNG state) each way instead of re-pickling
+a potentially dense strategy.
 
 **Determinism.**  The per-request :class:`numpy.random.Generator` is pickled
 with its exact state, and mechanism execution is a pure function of

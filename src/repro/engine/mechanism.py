@@ -16,10 +16,10 @@ Every mechanism answers three questions:
 * ``expected_error(workload, params)`` — the closed-form expected workload
   RMSE (Def. 5 normalisation), the planner's ranking key;
 * ``run(workload, data, params)`` — one private release, returned as a
-  uniform :class:`EngineResult`.
+  :class:`~repro.mechanisms.matrix_mechanism.MechanismResult`.
 
-``EngineResult.estimate`` is the released synthetic data vector ``x_hat``
-when the mechanism produces one (the matrix mechanisms), else ``None`` (the
+``MechanismResult.estimate`` is the released synthetic data vector ``x_hat``
+when the mechanism produces one (the matrix mechanism), else ``None`` (the
 direct mechanisms perturb each answer independently and offer no consistent
 estimate).  The :class:`~repro.engine.session.Session` uses the estimate to
 serve later overlapping queries at zero marginal budget, so its planner
@@ -29,9 +29,6 @@ excludes estimate-free mechanisms by default.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -43,44 +40,14 @@ from repro.core.workload import Workload
 from repro.exceptions import MaterializationError, PrivacyError
 from repro.mechanisms.gaussian import GaussianMechanism
 from repro.mechanisms.laplace import LaplaceMechanism
-from repro.mechanisms.laplace_matrix import (
-    LaplaceMatrixMechanism,
-    expected_workload_error_l1,
-)
-from repro.mechanisms.matrix_mechanism import MatrixMechanism
+from repro.mechanisms.laplace_matrix import expected_workload_error_l1
+from repro.mechanisms.matrix_mechanism import MatrixMechanism, MechanismResult
 
 __all__ = [
-    "EngineResult",
     "Mechanism",
     "StrategyMechanism",
     "DirectMechanism",
 ]
-
-
-@dataclass
-class EngineResult:
-    """Uniform output of one private release, whatever mechanism produced it.
-
-    Attributes
-    ----------
-    answers:
-        Noisy answers to the workload queries.
-    estimate:
-        The released synthetic data vector ``x_hat`` from which ``answers``
-        derive (mutually consistent), or ``None`` for direct mechanisms.
-    strategy_answers:
-        The raw noisy answers to the measured queries.
-    noise_scale:
-        Scale of the noise added to each measured query.
-    mechanism:
-        Label of the mechanism that produced the release.
-    """
-
-    answers: np.ndarray
-    estimate: np.ndarray | None
-    strategy_answers: np.ndarray
-    noise_scale: float
-    mechanism: str = ""
 
 
 @runtime_checkable
@@ -106,7 +73,7 @@ class Mechanism(Protocol):
         params: PrivacyParams,
         *,
         random_state=None,
-    ) -> EngineResult:
+    ) -> MechanismResult:
         """Perform one private release."""
         ...
 
@@ -116,68 +83,17 @@ class StrategyMechanism:
 
     The privacy regime picks the noise distribution: ``delta > 0`` runs the
     (epsilon, delta) Gaussian instantiation (Prop. 3), ``delta == 0`` the pure
-    epsilon Laplace one (Sec. 3.5).  Underlying mechanism objects are cached
-    per privacy setting so repeated runs (Monte-Carlo loops, session batches)
-    keep their factorisation caches warm.
+    epsilon Laplace one (Sec. 3.5).  One :class:`MatrixMechanism` serves
+    every privacy setting, so its factorisation caches stay warm across
+    Monte-Carlo loops, session batches and changing budgets alike.
     """
 
     releases_estimate = True
 
-    #: Bound on memoised per-privacy-setting mechanism instances.  Each one
-    #: holds least-squares factorisation caches over the ``n`` cells, and
-    #: mechanisms live inside plans held by the long-lived plan cache, so an
-    #: unbounded memo would grow with every distinct ``(epsilon, delta)`` a
-    #: session ever uses.  LRU keeps the common case (few settings, reused
-    #: across Monte-Carlo trials and batches) warm.
-    MAX_INSTANCES = 8
-
-    def __init__(self, strategy: Strategy, *, nonnegative: bool = False):
+    def __init__(self, strategy: Strategy):
         self.strategy = strategy
-        self.nonnegative = nonnegative
         self.name = f"matrix-mechanism[{strategy.name or 'strategy'}]"
-        self._instances: "OrderedDict[PrivacyParams, object]" = OrderedDict()
-        # StrategyMechanisms live inside plans held by the *shared* plan
-        # cache, so concurrent sessions executing the same warm plan mutate
-        # this memo together — the LRU bookkeeping must be serialized.
-        self._instances_lock = threading.Lock()
-
-    def __getstate__(self) -> dict:
-        """Pickle without the lock or the per-process instance memo.
-
-        Plans cross the process boundary of the execution tier
-        (:mod:`repro.engine.executor`), and neither a ``threading.Lock`` nor
-        the memoised mechanism instances (whose factorisation caches are
-        per-process warm state) belong in the payload — the receiving worker
-        rebuilds both lazily and keeps its own memo warm under its own lock.
-        """
-        state = self.__dict__.copy()
-        state.pop("_instances_lock", None)
-        state["_instances"] = OrderedDict()
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._instances = OrderedDict()
-        self._instances_lock = threading.Lock()
-
-    def _instance(self, params: PrivacyParams):
-        with self._instances_lock:
-            mechanism = self._instances.get(params)
-            if mechanism is None:
-                if params.is_approximate:
-                    mechanism = MatrixMechanism(
-                        self.strategy, params, nonnegative=self.nonnegative
-                    )
-                else:
-                    mechanism = LaplaceMatrixMechanism(
-                        self.strategy, params, nonnegative=self.nonnegative
-                    )
-                self._instances[params] = mechanism
-                while len(self._instances) > self.MAX_INSTANCES:
-                    self._instances.popitem(last=False)
-            else:
-                self._instances.move_to_end(params)
-            return mechanism
+        self._mechanism = MatrixMechanism(strategy)
 
     def supports(self, workload: Workload, params: PrivacyParams) -> bool:
         if workload.column_count != self.strategy.column_count:
@@ -192,6 +108,8 @@ class StrategyMechanism:
         return True
 
     def expected_error(self, workload: Workload, params: PrivacyParams) -> float:
+        # Priced through this module's names, not MatrixMechanism.expected_error:
+        # perfbench times candidate pricing by patching expected_workload_error here.
         if params.is_approximate:
             return expected_workload_error(workload, self.strategy, params)
         return expected_workload_error_l1(workload, self.strategy, params)
@@ -203,15 +121,10 @@ class StrategyMechanism:
         params: PrivacyParams,
         *,
         random_state=None,
-    ) -> EngineResult:
-        result = self._instance(params).run(workload, data, random_state=random_state)
-        return EngineResult(
-            answers=result.answers,
-            estimate=result.estimate,
-            strategy_answers=result.strategy_answers,
-            noise_scale=result.noise_scale,
-            mechanism=self.name,
-        )
+    ) -> MechanismResult:
+        result = self._mechanism.run(workload, data, params, random_state=random_state)
+        result.mechanism = self.name
+        return result
 
 
 class DirectMechanism:
@@ -259,13 +172,13 @@ class DirectMechanism:
         params: PrivacyParams,
         *,
         random_state=None,
-    ) -> EngineResult:
+    ) -> MechanismResult:
         if self.kind == "gaussian":
             mechanism = GaussianMechanism(params)
         else:
             mechanism = LaplaceMechanism(params)
         answers = mechanism.answer(workload, data, random_state=random_state)
-        return EngineResult(
+        return MechanismResult(
             answers=answers,
             estimate=None,
             strategy_answers=answers,

@@ -36,7 +36,7 @@ from repro.core.privacy import PrivacyParams
 from repro.core.strategy import Strategy
 from repro.core.workload import Workload
 from repro.engine.cache import PlanCache
-from repro.engine.mechanism import DirectMechanism, EngineResult, Mechanism, StrategyMechanism
+from repro.engine.mechanism import DirectMechanism, Mechanism, StrategyMechanism
 from repro.exceptions import (
     MaterializationError,
     OptimizationError,
@@ -44,6 +44,7 @@ from repro.exceptions import (
     ReproError,
     SingularStrategyError,
 )
+from repro.mechanisms.matrix_mechanism import MechanismResult
 from repro.utils.operators import within_materialization_budget
 
 __all__ = [
@@ -197,7 +198,7 @@ class Plan:
         params: PrivacyParams,
         *,
         random_state=None,
-    ) -> EngineResult:
+    ) -> MechanismResult:
         """Run the chosen mechanism on concrete data under ``params``."""
         self._check_regime(params)
         return self.mechanism.run(workload, data, params, random_state=random_state)

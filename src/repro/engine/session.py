@@ -45,10 +45,11 @@ from repro.core.privacy import PrivacyParams
 from repro.core.workload import Workload
 from repro.domain.schema import Schema
 from repro.engine import faults
-from repro.engine.mechanism import EngineResult, StrategyMechanism
+from repro.engine.mechanism import StrategyMechanism
 from repro.engine.planner import Plan, Planner
 from repro.exceptions import MaterializationError, ReproError, SingularStrategyError, WorkloadError
 from repro.mechanisms.accountant import BudgetExceededError, PrivacyAccountant
+from repro.mechanisms.matrix_mechanism import MechanismResult
 from repro.relational.relation import Relation
 from repro.relational.sql import workload_from_sql
 from repro.relational.vectorize import data_vector
@@ -149,7 +150,7 @@ class Session:
         answerer here.  Defaults to ``workload.answer(estimate)``.
     plan_executor:
         Optional hook ``(plan, workload, data, params, random_state, key) ->
-        EngineResult`` that runs a paid plan somewhere other than the
+        MechanismResult`` that runs a paid plan somewhere other than the
         calling thread — a server in process execution mode injects its
         :meth:`~repro.engine.executor.ProcessExecutor.execute` here so noise
         + inference escape the GIL.  The session's own state (accountant,
@@ -576,7 +577,7 @@ class Session:
         workload: Workload,
         labels: Sequence[str],
         plan: Plan,
-        result: EngineResult,
+        result: MechanismResult,
         params: PrivacyParams,
         cache_hit: bool,
         per_query: bool,

@@ -22,8 +22,8 @@ from repro.core.error import minimum_error_bound
 from repro.core.privacy import PrivacyParams
 from repro.core.strategy import Strategy
 from repro.core.workload import Workload
-from repro.engine.mechanism import StrategyMechanism
 from repro.exceptions import MaterializationError, SingularStrategyError
+from repro.mechanisms.matrix_mechanism import MatrixMechanism
 
 __all__ = ["StrategyComparison", "compare_strategies"]
 
@@ -122,9 +122,8 @@ def compare_strategies(
     """
     errors: dict[str, float] = {}
     for label, strategy in strategies.items():
-        mechanism = StrategyMechanism(strategy)
         try:
-            errors[label] = mechanism.expected_error(workload, privacy)
+            errors[label] = MatrixMechanism(strategy).expected_error(workload, privacy)
         except (SingularStrategyError, MaterializationError):
             errors[label] = float("inf")
     return StrategyComparison(

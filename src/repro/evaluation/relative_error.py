@@ -21,8 +21,8 @@ from repro.core.privacy import PrivacyParams
 from repro.core.strategy import Strategy
 from repro.core.workload import Workload
 from repro.datasets.loaders import Dataset
-from repro.engine.mechanism import StrategyMechanism
 from repro.exceptions import WorkloadError
+from repro.mechanisms.matrix_mechanism import MatrixMechanism
 from repro.utils.rng import as_generator
 
 __all__ = ["RelativeErrorResult", "relative_error", "default_sanity_bound"]
@@ -68,16 +68,14 @@ def relative_error(
     if sanity_bound is None:
         sanity_bound = default_sanity_bound(dataset)
     rng = as_generator(random_state)
-    # The engine's mechanism protocol keeps one underlying mechanism per
-    # privacy setting, so the least-squares factorisation is reused across
-    # trials exactly as before — and delta == 0 transparently runs the
-    # Laplace instantiation.
-    mechanism = StrategyMechanism(strategy)
+    # One mechanism for every trial keeps its least-squares factorisation
+    # warm; delta == 0 runs the Laplace instantiation.
+    mechanism = MatrixMechanism(strategy, privacy)
     true_answers = workload.answer(dataset.data)
     denominator = np.maximum(np.abs(true_answers), sanity_bound)
     per_trial = np.zeros(trials)
     for trial in range(trials):
-        noisy = mechanism.run(workload, dataset.data, privacy, random_state=rng).answers
+        noisy = mechanism.run(workload, dataset.data, random_state=rng).answers
         per_trial[trial] = float(np.mean(np.abs(noisy - true_answers) / denominator))
     return RelativeErrorResult(
         strategy_name=strategy.name or "strategy",

@@ -13,20 +13,14 @@ from repro.mechanisms.composition import (
 from repro.mechanisms.gaussian import GaussianMechanism
 from repro.mechanisms.inference import least_squares_estimate, nonnegative_least_squares_estimate
 from repro.mechanisms.laplace import LaplaceMechanism
-from repro.mechanisms.laplace_matrix import (
-    LaplaceMatrixMechanism,
-    LaplaceMechanismResult,
-    expected_workload_error_l1,
-)
+from repro.mechanisms.laplace_matrix import expected_workload_error_l1
 from repro.mechanisms.matrix_mechanism import MatrixMechanism, MechanismResult
 
 __all__ = [
     "BudgetExceededError",
     "CompositionAccountant",
     "GaussianMechanism",
-    "LaplaceMatrixMechanism",
     "LaplaceMechanism",
-    "LaplaceMechanismResult",
     "MatrixMechanism",
     "MechanismResult",
     "PrivacyAccountant",

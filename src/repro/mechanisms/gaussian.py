@@ -9,7 +9,12 @@ from repro.core.workload import Workload
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_matrix, check_vector
 
-__all__ = ["GaussianMechanism"]
+__all__ = ["GaussianMechanism", "max_column_norm"]
+
+
+def max_column_norm(matrix: np.ndarray) -> float:
+    """L2 sensitivity of a raw query matrix: its largest column norm."""
+    return float(np.sqrt(np.max(np.sum(np.asarray(matrix, float) ** 2, axis=0))))
 
 
 class GaussianMechanism:
@@ -28,9 +33,7 @@ class GaussianMechanism:
     def noise_scale(self, queries: Workload | np.ndarray) -> float:
         """Return the standard deviation of the noise added to each answer."""
         sensitivity = (
-            queries.sensitivity_l2
-            if isinstance(queries, Workload)
-            else float(np.sqrt(np.max(np.sum(np.asarray(queries, float) ** 2, axis=0))))
+            queries.sensitivity_l2 if isinstance(queries, Workload) else max_column_norm(queries)
         )
         return self.privacy.gaussian_scale(sensitivity)
 

@@ -1,16 +1,23 @@
-"""The (epsilon, delta)-matrix mechanism (Prop. 3).
+"""The matrix mechanism, under (epsilon, delta) or pure epsilon privacy.
 
 Given a workload ``W``, a strategy ``A`` and a data vector ``x``, the
 mechanism
 
-1. answers the strategy queries with the Gaussian mechanism (noise calibrated
-   to the strategy's L2 sensitivity);
+1. answers the strategy queries with noise calibrated to the strategy's
+   sensitivity: Gaussian noise scaled to the L2 sensitivity when
+   ``delta > 0`` (Prop. 3), Laplace noise scaled to the L1 sensitivity when
+   ``delta == 0`` (Sec. 3.5);
 2. infers an estimate ``x_hat`` of the data vector by least squares;
 3. answers the workload as ``W x_hat``.
 
 Because all workload answers are derived from the single estimate ``x_hat``,
 they are mutually consistent, and ``x_hat`` itself can be released as a
 synthetic contingency table tailored to the workload.
+
+The strategy fixes everything except the noise scale, so one mechanism
+serves every privacy setting: its validation, sensitivities and
+least-squares factorisation are computed once and reused whatever
+``(epsilon, delta)`` a run asks for.
 """
 
 from __future__ import annotations
@@ -25,8 +32,9 @@ from repro.core.privacy import PrivacyParams
 from repro.core.strategy import Strategy
 from repro.core.workload import Workload
 from repro.exceptions import SingularStrategyError
-from repro.mechanisms.gaussian import GaussianMechanism
+from repro.mechanisms.gaussian import max_column_norm
 from repro.mechanisms.inference import least_squares_estimate, nonnegative_least_squares_estimate
+from repro.mechanisms.laplace_matrix import expected_workload_error_l1
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_matrix, check_vector
 
@@ -35,28 +43,38 @@ __all__ = ["MatrixMechanism", "MechanismResult"]
 
 @dataclass
 class MechanismResult:
-    """Output of one matrix-mechanism invocation.
+    """Output of one private release, whatever mechanism produced it.
 
     Attributes
     ----------
     answers:
-        Noisy, mutually consistent answers to the workload queries.
+        Noisy answers to the workload queries.
     estimate:
-        The inferred data-vector estimate ``x_hat`` (the synthetic counts).
+        The released synthetic data vector ``x_hat`` from which ``answers``
+        derive (mutually consistent), or ``None`` for mechanisms that
+        perturb each answer independently.
     strategy_answers:
-        The raw noisy answers to the strategy queries.
+        The raw noisy answers to the measured queries.
     noise_scale:
-        Standard deviation of the Gaussian noise added to each strategy query.
+        Scale of the noise added to each measured query: the Gaussian
+        standard deviation, or the Laplace scale parameter.
+    mechanism:
+        Label of the mechanism that produced the release.
     """
 
     answers: np.ndarray
-    estimate: np.ndarray
+    estimate: np.ndarray | None
     strategy_answers: np.ndarray
     noise_scale: float
+    mechanism: str = ""
 
 
 class MatrixMechanism:
-    """Answer workloads through a strategy under (epsilon, delta)-differential privacy."""
+    """Answer workloads through a strategy under differential privacy.
+
+    ``privacy`` is the default for :meth:`run` and :meth:`expected_error`;
+    either may be passed its own per call.
+    """
 
     def __init__(
         self,
@@ -68,16 +86,28 @@ class MatrixMechanism:
         self.strategy = strategy
         self.privacy = privacy
         self.nonnegative = nonnegative
-        self._gaussian = GaussianMechanism(privacy)
-        # Cached Cholesky factor of A^T A for repeated runs (None until first
-        # use; False when the strategy is rank-deficient and lstsq is needed).
+        self._reset_caches()
+
+    def _reset_caches(self) -> None:
+        # Per-process strategy constants, filled on first use.  The Cholesky
+        # factor of A^T A is None until then and False when the strategy is
+        # rank-deficient and lstsq is needed.
         self._normal_factor = None
-        # Gaussian noise scale of the validated strategy (None until first
-        # use): like the factor, fixed once the strategy and budget are.
-        self._noise_scale: float | None = None
+        self._column_norm: float | None = None
         # Workloads whose support by the strategy has already been verified,
         # held weakly so a long-lived mechanism never pins its callers' workloads.
         self._supported_workloads: weakref.WeakSet[Workload] = weakref.WeakSet()
+
+    def __getstate__(self) -> dict:
+        """Pickle without the caches: the receiving process rebuilds them."""
+        state = self.__dict__.copy()
+        for name in ("_normal_factor", "_column_norm", "_supported_workloads"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._reset_caches()
 
     def _solve_least_squares(self, noisy: np.ndarray) -> np.ndarray:
         """Least-squares inference with a cached normal-equation factorisation.
@@ -104,24 +134,25 @@ class MatrixMechanism:
         self,
         workload: Workload,
         data: np.ndarray,
+        privacy: PrivacyParams | None = None,
         *,
         random_state=None,
     ) -> MechanismResult:
         """Run the mechanism once and return answers plus the synthetic estimate."""
+        privacy = self.privacy if privacy is None else privacy
         matrix = self.strategy.matrix
         data = check_vector(data, "data", matrix.shape[1])
         if workload.column_count != matrix.shape[1]:
             raise SingularStrategyError(
                 f"workload has {workload.column_count} cells but the strategy has {matrix.shape[1]}"
             )
-        if self._noise_scale is None:
-            # Plan constants, paid for on the first run only.  The scale is
-            # GaussianMechanism.noise_scale's raw column-norm expression, not
-            # the Gram-diagonal Strategy.sensitivity_l2: that one can differ
-            # in the last bits and would change every released answer.
+        if self._column_norm is None:
+            # Strategy constants, paid for on the first run only.  The L2
+            # sensitivity is the raw column-norm expression, not the
+            # Gram-diagonal Strategy.sensitivity_l2: that one can differ in
+            # the last bits and would change every released answer.
             check_matrix(matrix, "strategy matrix")
-            self._noise_scale = self._gaussian.noise_scale(matrix)
-        scale = self._noise_scale
+            self._column_norm = max_column_norm(matrix)
         if workload not in self._supported_workloads:
             if not self.strategy.supports(workload.gram):
                 raise SingularStrategyError(
@@ -130,12 +161,19 @@ class MatrixMechanism:
                 )
             self._supported_workloads.add(workload)
         rng = as_generator(random_state)
-        # The arithmetic and draw order of GaussianMechanism.answer.
-        noisy = matrix @ data + rng.normal(0.0, scale, size=matrix.shape[0])
+        # Privacy enters only here, as the noise scale.
+        if privacy.is_approximate:
+            scale = privacy.gaussian_scale(self._column_norm)
+            noisy = matrix @ data + rng.normal(0.0, scale, size=matrix.shape[0])
+        else:
+            scale = privacy.laplace_scale(self.strategy.sensitivity_l1)
+            noisy = matrix @ data + rng.laplace(0.0, scale, size=matrix.shape[0])
         if self.nonnegative:
             estimate = nonnegative_least_squares_estimate(matrix, noisy)
-        else:
+        elif privacy.is_approximate:
             estimate = self._solve_least_squares(noisy)
+        else:
+            estimate = least_squares_estimate(matrix, noisy)
         # answer() serves explicit matrices and factored row operators alike,
         # so large Kronecker workloads can be answered without materialising
         # their (possibly enormous) query matrix.
@@ -152,14 +190,17 @@ class MatrixMechanism:
         return self.run(workload, data, random_state=random_state).answers
 
     # ----------------------------------------------------------- analysis API
-    def expected_error(self, workload: Workload) -> float:
-        """Expected RMSE of answering ``workload`` (Prop. 4 / Def. 5)."""
-        return expected_workload_error(workload, self.strategy, self.privacy)
+    def expected_error(self, workload: Workload, privacy: PrivacyParams | None = None) -> float:
+        """Expected RMSE of answering ``workload`` (Prop. 4 / Def. 5, or Sec. 3.5)."""
+        privacy = self.privacy if privacy is None else privacy
+        if privacy.is_approximate:
+            return expected_workload_error(workload, self.strategy, privacy)
+        return expected_workload_error_l1(workload, self.strategy, privacy)
 
     def expected_query_errors(
         self, workload: Workload, *, block_size: int | None = None
     ) -> np.ndarray:
-        """Expected RMSE of each individual workload query.
+        """Expected RMSE of each individual workload query (Gaussian regime).
 
         Served in query blocks through the factored row operator when the
         workload is operator-backed, so diagnostics scale to millions of

@@ -364,13 +364,60 @@ class TestSession:
             np.ones((1, 8)) @ session.history[0].estimate,
         )
 
-    def test_mechanism_instance_memo_is_bounded(self):
-        mechanism = StrategyMechanism(Strategy.identity(4))
-        x = np.zeros(4)
-        workload = Workload.identity(4)
-        for i in range(2 * StrategyMechanism.MAX_INSTANCES):
-            mechanism.run(workload, x, PrivacyParams(0.1 + 0.01 * i, 1e-4), random_state=0)
-        assert len(mechanism._instances) <= StrategyMechanism.MAX_INSTANCES
+    def test_one_factorization_serves_every_privacy_setting(self, monkeypatch):
+        import scipy.linalg
+
+        import repro.mechanisms.matrix_mechanism as matrix_module
+        from repro.engine import Server
+        from repro.mechanisms import MatrixMechanism
+
+        workload = all_range_queries_1d(16)
+        settings = [(0.1 * (i + 1), 10.0 ** -(4 + i % 3)) for i in range(8)]
+        calls = {"cho_factor": 0, "max_column_norm": 0, "supports": 0}
+        released = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        def recorded(original):
+            def wrapper(self, workload, data, privacy=None, **kwargs):
+                result = original(self, workload, data, privacy, **kwargs)
+                released.append((privacy, result.noise_scale))
+                return result
+
+            return wrapper
+
+        with Server(PrivacyParams(100.0, 0.5), workers=1, random_state=0) as server:
+            plan = server.planner.plan(workload, PrivacyParams(*settings[0]))
+            monkeypatch.setattr(
+                scipy.linalg, "cho_factor", counted("cho_factor", scipy.linalg.cho_factor)
+            )
+            monkeypatch.setattr(
+                matrix_module,
+                "max_column_norm",
+                counted("max_column_norm", matrix_module.max_column_norm),
+            )
+            monkeypatch.setattr(Strategy, "supports", counted("supports", Strategy.supports))
+            monkeypatch.setattr(MatrixMechanism, "run", recorded(MatrixMechanism.run))
+            for epsilon, delta in settings:
+                answer = server.ask(
+                    "t", workload, epsilon=epsilon, delta=delta, data=np.arange(16.0)
+                )
+                assert answer.plan is plan and answer.spent == PrivacyParams(epsilon, delta)
+        # One Cholesky for the cached factor, one inside the support check
+        # that runs once per workload; one mechanism per setting made 8 of each.
+        assert calls == {"cho_factor": 2, "max_column_norm": 1, "supports": 1}
+        matrix = plan.mechanism.strategy.matrix
+        column_norm = max(
+            np.sqrt(sum(row[j] ** 2 for row in matrix.tolist())) for j in range(16)
+        )
+        assert [params for params, _ in released] == [PrivacyParams(*s) for s in settings]
+        for params, noise_scale in released:
+            assert noise_scale == pytest.approx(params.gaussian_scale(column_norm), rel=1e-12)
 
     def test_history_records_every_answer(self, schema, data):
         session = Session(PrivacyParams(1.0, 1e-4), schema=schema, data=data, random_state=0)

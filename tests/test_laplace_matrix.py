@@ -1,15 +1,11 @@
-"""Tests for the epsilon-DP (Laplace) matrix mechanism (Sec. 3.5 variant)."""
+"""Tests for the matrix mechanism under pure epsilon-DP (Laplace, Sec. 3.5 variant)."""
 
 import numpy as np
 import pytest
 
 from repro import PrivacyParams, Workload, eigen_design
 from repro.exceptions import PrivacyError, SingularStrategyError
-from repro.mechanisms import (
-    LaplaceMatrixMechanism,
-    MatrixMechanism,
-    expected_workload_error_l1,
-)
+from repro.mechanisms import MatrixMechanism, expected_workload_error_l1
 from repro.strategies import hierarchical_strategy, identity_strategy, wavelet_strategy
 from repro.workloads import all_range_queries_1d, example_workload
 
@@ -53,15 +49,18 @@ class TestExpectedErrorL1:
 
 
 class TestLaplaceMatrixMechanism:
+    """The matrix mechanism under pure epsilon privacy (``delta == 0``)."""
+
     def test_noise_scale_uses_l1_sensitivity(self):
         strategy = hierarchical_strategy(16)
-        mechanism = LaplaceMatrixMechanism(strategy, 0.5)
-        assert mechanism.noise_scale == pytest.approx(strategy.sensitivity_l1 / 0.5)
+        mechanism = MatrixMechanism(strategy, PrivacyParams(0.5, 0.0))
+        result = mechanism.run(Workload.identity(16), np.zeros(16), random_state=0)
+        assert result.noise_scale == pytest.approx(strategy.sensitivity_l1 / 0.5)
 
     def test_answers_are_consistent(self):
         """All answers derive from one estimate, so linear identities hold exactly."""
         workload = example_workload()
-        mechanism = LaplaceMatrixMechanism(wavelet_strategy(8), 1.0)
+        mechanism = MatrixMechanism(wavelet_strategy(8), PrivacyParams(1.0, 0.0))
         data = np.arange(8.0) * 5
         result = mechanism.run(workload, data, random_state=0)
         # q1 (all students) = q2 (female) + q3 (male) in Fig. 1(b).
@@ -69,7 +68,7 @@ class TestLaplaceMatrixMechanism:
 
     def test_reproducible_with_seed(self):
         workload = example_workload()
-        mechanism = LaplaceMatrixMechanism(wavelet_strategy(8), 1.0)
+        mechanism = MatrixMechanism(wavelet_strategy(8), PrivacyParams(1.0, 0.0))
         data = np.ones(8) * 10
         first = mechanism.answer(workload, data, random_state=3)
         second = mechanism.answer(workload, data, random_state=3)
@@ -79,7 +78,7 @@ class TestLaplaceMatrixMechanism:
         """Monte-Carlo RMSE agrees with the closed form within sampling tolerance."""
         workload = example_workload()
         strategy = wavelet_strategy(8)
-        mechanism = LaplaceMatrixMechanism(strategy, 1.0)
+        mechanism = MatrixMechanism(strategy, PrivacyParams(1.0, 0.0))
         data = np.full(8, 100.0)
         true_answers = workload.answer(data)
         rng = np.random.default_rng(0)
@@ -89,16 +88,19 @@ class TestLaplaceMatrixMechanism:
             squared.append(np.mean((noisy - true_answers) ** 2))
         observed = float(np.sqrt(np.mean(squared)))
         expected = mechanism.expected_error(workload)
+        assert expected == pytest.approx(expected_workload_error_l1(workload, strategy, 1.0))
         assert observed == pytest.approx(expected, rel=0.15)
 
     def test_nonnegative_estimate(self):
         workload = example_workload()
-        mechanism = LaplaceMatrixMechanism(identity_strategy(8), 0.5, nonnegative=True)
+        mechanism = MatrixMechanism(
+            identity_strategy(8), PrivacyParams(0.5, 0.0), nonnegative=True
+        )
         result = mechanism.run(workload, np.zeros(8), random_state=0)
         assert np.all(result.estimate >= 0)
 
     def test_rejects_mismatched_cells(self):
-        mechanism = LaplaceMatrixMechanism(identity_strategy(8), 0.5)
+        mechanism = MatrixMechanism(identity_strategy(8), PrivacyParams(0.5, 0.0))
         with pytest.raises(SingularStrategyError):
             mechanism.run(Workload.identity(4), np.zeros(8))
 
@@ -109,7 +111,7 @@ class TestLaplaceMatrixMechanism:
         strategy_matrix[1, 1] = 1
         from repro import Strategy
 
-        mechanism = LaplaceMatrixMechanism(Strategy(strategy_matrix), 0.5)
+        mechanism = MatrixMechanism(Strategy(strategy_matrix), PrivacyParams(0.5, 0.0))
         query = np.zeros((1, 4))
         query[0, 3] = 1.0
         with pytest.raises(SingularStrategyError):
@@ -117,13 +119,13 @@ class TestLaplaceMatrixMechanism:
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(PrivacyError):
-            LaplaceMatrixMechanism(identity_strategy(4), -1.0)
+            MatrixMechanism(identity_strategy(4), PrivacyParams(-1.0, 0.0))
 
     def test_support_checked_once_per_workload(self, monkeypatch):
         from repro import Strategy
 
         workload = example_workload()
-        mechanism = LaplaceMatrixMechanism(wavelet_strategy(8), 0.5)
+        mechanism = MatrixMechanism(wavelet_strategy(8), PrivacyParams(0.5, 0.0))
         mechanism.run(workload, np.ones(8), random_state=0)
         calls = []
         original = Strategy.supports

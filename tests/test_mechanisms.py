@@ -237,6 +237,24 @@ class TestMatrixMechanismPlanConstants:
             np.testing.assert_array_equal(again.estimate, fresh.estimate)
             assert again.noise_scale == fresh.noise_scale
 
+    @pytest.mark.parametrize("privacy", [PrivacyParams(0.5, 1e-4), PrivacyParams(0.5, 0.0)])
+    def test_pickle_round_trip_is_bit_identical_in_both_regimes(self, privacy, fig1_workload):
+        import pickle
+
+        data = np.array([30.0, 40.0, 10.0, 5.0, 25.0, 35.0, 15.0, 10.0])
+        mechanism = MatrixMechanism(wavelet_strategy(8), privacy)
+        mechanism.run(fig1_workload, data, random_state=0)
+        payload = pickle.dumps(mechanism)
+        # The per-process caches (factor, column norm, support memo) stay behind.
+        assert len(payload) == len(pickle.dumps(MatrixMechanism(mechanism.strategy, privacy)))
+        restored = pickle.loads(payload)
+        for seed in range(3):
+            expected = mechanism.run(fig1_workload, data, random_state=seed)
+            again = restored.run(fig1_workload, data, random_state=seed)
+            np.testing.assert_array_equal(again.answers, expected.answers)
+            np.testing.assert_array_equal(again.estimate, expected.estimate)
+            assert again.noise_scale == expected.noise_scale
+
 
 class TestAccountant:
     def test_spend_within_budget(self):

@@ -67,11 +67,6 @@ LOCK_MANIFEST: tuple[LockRule, ...] = (
         doc_granularity="per workload shape",
     ),
     LockRule(
-        doc_state="`StrategyMechanism` per-privacy instance memo",
-        doc_guard="per-mechanism lock",
-        doc_granularity="per cached plan",
-    ),
-    LockRule(
         doc_state="factor-`eigh` memo (`repro.utils.operators`)",
         doc_guard="module lock around lookup/insert/evict; the `eigh` itself runs outside it",
         doc_granularity="process",
