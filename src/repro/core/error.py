@@ -579,6 +579,8 @@ def per_query_error(
     if rows is None:
         rows = workload.matrix  # raises MaterializationError with context
     total, cells = rows.shape
+    # Raises PrivacyError for delta == 0 before any solve is paid for.
+    scale = privacy.gaussian_scale(strategy.sensitivity_l2)
     solver = _strategy_gram_solver(strategy)
     if block_size is None:
         block_size = int(max(1, min(total, MATERIALIZATION_LIMIT // max(cells, 1))))
@@ -591,7 +593,6 @@ def per_query_error(
             block = rows.row_block(start, stop)
         solved = solver(block.T)
         variances[start:stop] = np.sum(block.T * solved, axis=0)
-    scale = privacy.gaussian_scale(strategy.sensitivity_l2)
     return scale * np.sqrt(np.clip(variances, 0.0, None))
 
 

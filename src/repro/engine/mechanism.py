@@ -181,7 +181,6 @@ class DirectMechanism:
         return MechanismResult(
             answers=answers,
             estimate=None,
-            strategy_answers=answers,
             noise_scale=mechanism.noise_scale(workload),
             mechanism=self.name,
         )

@@ -3,11 +3,18 @@
 Given a workload ``W``, a strategy ``A`` and a data vector ``x``, the
 mechanism
 
-1. answers the strategy queries with noise calibrated to the strategy's
-   sensitivity: Gaussian noise scaled to the L2 sensitivity when
-   ``delta > 0`` (Prop. 3), Laplace noise scaled to the L1 sensitivity when
-   ``delta == 0`` (Sec. 3.5);
-2. infers an estimate ``x_hat`` of the data vector by least squares;
+1. measures the data with noise calibrated to the sensitivity of what it
+   releases.  Under pure epsilon privacy (``delta == 0``, Sec. 3.5) it
+   releases the strategy answers ``A x`` plus Laplace noise scaled to the L1
+   sensitivity of ``A``.  Under (epsilon, delta) privacy (Prop. 3) it adds
+   Gaussian noise scaled to an L2 sensitivity, and for a full-rank strategy
+   it releases ``U x`` instead of ``A x``, where ``U`` is the upper Cholesky
+   factor of the Gram, ``U^T U = A^T A``.  Both releases give an estimate
+   distributed as ``N(x, sigma^2 (A^T A)^{-1})``, and ``U``'s largest
+   column norm is ``A``'s, so the calibration and the Prop. 4 error are
+   those of ``A`` while the work is n x n triangular, not p x n;
+2. infers an estimate ``x_hat`` of the data vector by least squares: one
+   triangular solve against ``U``, or ``lstsq`` against ``A``;
 3. answers the workload as ``W x_hat``.
 
 Because all workload answers are derived from the single estimate ``x_hat``,
@@ -16,8 +23,8 @@ synthetic contingency table tailored to the workload.
 
 The strategy fixes everything except the noise scale, so one mechanism
 serves every privacy setting: its validation, sensitivities and
-least-squares factorisation are computed once and reused whatever
-``(epsilon, delta)`` a run asks for.
+Cholesky factor are computed once and reused whatever ``(epsilon, delta)``
+a run asks for.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from repro.core.error import expected_workload_error, per_query_error
 from repro.core.privacy import PrivacyParams
@@ -53,8 +61,6 @@ class MechanismResult:
         The released synthetic data vector ``x_hat`` from which ``answers``
         derive (mutually consistent), or ``None`` for mechanisms that
         perturb each answer independently.
-    strategy_answers:
-        The raw noisy answers to the measured queries.
     noise_scale:
         Scale of the noise added to each measured query: the Gaussian
         standard deviation, or the Laplace scale parameter.
@@ -64,7 +70,6 @@ class MechanismResult:
 
     answers: np.ndarray
     estimate: np.ndarray | None
-    strategy_answers: np.ndarray
     noise_scale: float
     mechanism: str = ""
 
@@ -89,9 +94,11 @@ class MatrixMechanism:
         self._reset_caches()
 
     def _reset_caches(self) -> None:
-        # Per-process strategy constants, filled on first use.  The Cholesky
-        # factor of A^T A is None until then and False when the strategy is
-        # rank-deficient and lstsq is needed.
+        # Filled on first use.  The strategy is validated on the first run.
+        # The Gaussian regime's upper Cholesky factor of A^T A is None until
+        # its first run and False when Gaussian runs measure A instead; the
+        # column norm is the L2 sensitivity of whichever map they release.
+        self._validated = False
         self._normal_factor = None
         self._column_norm: float | None = None
         # Workloads whose support by the strategy has already been verified,
@@ -101,7 +108,7 @@ class MatrixMechanism:
     def __getstate__(self) -> dict:
         """Pickle without the caches: the receiving process rebuilds them."""
         state = self.__dict__.copy()
-        for name in ("_normal_factor", "_column_norm", "_supported_workloads"):
+        for name in ("_validated", "_normal_factor", "_column_norm", "_supported_workloads"):
             del state[name]
         return state
 
@@ -109,26 +116,28 @@ class MatrixMechanism:
         self.__dict__.update(state)
         self._reset_caches()
 
-    def _solve_least_squares(self, noisy: np.ndarray) -> np.ndarray:
-        """Least-squares inference with a cached normal-equation factorisation.
+    def _gaussian_factor(self):
+        """The factor Gaussian runs release through, or ``False`` for ``A``.
 
-        Repeated mechanism runs (Monte-Carlo relative-error experiments, or
-        periodic releases with the same strategy) reuse the factorisation so
-        only two matrix-vector products are needed per run.
+        ``U^T U = A^T A`` for the upper Cholesky factor ``U``, so ``U``'s
+        column norms are ``A``'s and ``U^{-1}(U x + sigma z)`` has the same
+        distribution as the least-squares estimate from ``A x + sigma z``.
+        Rank-deficient strategies (no factor) and nonnegative inference
+        measure ``A``.
         """
-        import scipy.linalg
-
-        matrix = self.strategy.matrix
         if self._normal_factor is None:
-            try:
-                self._normal_factor = scipy.linalg.cho_factor(
-                    self.strategy.gram, check_finite=False
-                )
-            except scipy.linalg.LinAlgError:
-                self._normal_factor = False
-        if self._normal_factor is False:
-            return least_squares_estimate(matrix, noisy)
-        return scipy.linalg.cho_solve(self._normal_factor, matrix.T @ noisy, check_finite=False)
+            factor = False
+            if not self.nonnegative:
+                try:
+                    factor, _ = scipy.linalg.cho_factor(self.strategy.gram, check_finite=False)
+                except scipy.linalg.LinAlgError:
+                    pass
+            # The exact sensitivity of the map released.  cho_factor leaves
+            # scratch in the unused lower triangle, so the norm reads U only.
+            released = self.strategy.matrix if factor is False else np.triu(factor)
+            self._column_norm = max_column_norm(released)
+            self._normal_factor = factor
+        return self._normal_factor
 
     def run(
         self,
@@ -140,19 +149,15 @@ class MatrixMechanism:
     ) -> MechanismResult:
         """Run the mechanism once and return answers plus the synthetic estimate."""
         privacy = self.privacy if privacy is None else privacy
-        matrix = self.strategy.matrix
-        data = check_vector(data, "data", matrix.shape[1])
-        if workload.column_count != matrix.shape[1]:
+        if not self._validated:
+            check_matrix(self.strategy.matrix, "strategy matrix")
+            self._validated = True
+        cells = self.strategy.column_count
+        data = check_vector(data, "data", cells)
+        if workload.column_count != cells:
             raise SingularStrategyError(
-                f"workload has {workload.column_count} cells but the strategy has {matrix.shape[1]}"
+                f"workload has {workload.column_count} cells but the strategy has {cells}"
             )
-        if self._column_norm is None:
-            # Strategy constants, paid for on the first run only.  The L2
-            # sensitivity is the raw column-norm expression, not the
-            # Gram-diagonal Strategy.sensitivity_l2: that one can differ in
-            # the last bits and would change every released answer.
-            check_matrix(matrix, "strategy matrix")
-            self._column_norm = max_column_norm(matrix)
         if workload not in self._supported_workloads:
             if not self.strategy.supports(workload.gram):
                 raise SingularStrategyError(
@@ -163,27 +168,29 @@ class MatrixMechanism:
         rng = as_generator(random_state)
         # Privacy enters only here, as the noise scale.
         if privacy.is_approximate:
+            factor = self._gaussian_factor()
             scale = privacy.gaussian_scale(self._column_norm)
-            noisy = matrix @ data + rng.normal(0.0, scale, size=matrix.shape[0])
+            draw = rng.normal
         else:
+            factor = False
             scale = privacy.laplace_scale(self.strategy.sensitivity_l1)
-            noisy = matrix @ data + rng.laplace(0.0, scale, size=matrix.shape[0])
-        if self.nonnegative:
-            estimate = nonnegative_least_squares_estimate(matrix, noisy)
-        elif privacy.is_approximate:
-            estimate = self._solve_least_squares(noisy)
+            draw = rng.laplace
+        if factor is not False:
+            # Release U x + sigma z and invert it: one n x n trmv and one trsv.
+            noisy = scipy.linalg.blas.dtrmv(factor, data) + draw(0.0, scale, size=cells)
+            estimate = scipy.linalg.blas.dtrsv(factor, noisy)
         else:
-            estimate = least_squares_estimate(matrix, noisy)
+            matrix = self.strategy.matrix
+            noisy = matrix @ data + draw(0.0, scale, size=matrix.shape[0])
+            if self.nonnegative:
+                estimate = nonnegative_least_squares_estimate(matrix, noisy)
+            else:
+                estimate = least_squares_estimate(matrix, noisy)
         # answer() serves explicit matrices and factored row operators alike,
         # so large Kronecker workloads can be answered without materialising
         # their (possibly enormous) query matrix.
         answers = workload.answer(estimate)
-        return MechanismResult(
-            answers=answers,
-            estimate=estimate,
-            strategy_answers=noisy,
-            noise_scale=scale,
-        )
+        return MechanismResult(answers=answers, estimate=estimate, noise_scale=scale)
 
     def answer(self, workload: Workload, data: np.ndarray, *, random_state=None) -> np.ndarray:
         """Convenience wrapper returning only the noisy workload answers."""
@@ -198,15 +205,21 @@ class MatrixMechanism:
         return expected_workload_error_l1(workload, self.strategy, privacy)
 
     def expected_query_errors(
-        self, workload: Workload, *, block_size: int | None = None
+        self,
+        workload: Workload,
+        privacy: PrivacyParams | None = None,
+        *,
+        block_size: int | None = None,
     ) -> np.ndarray:
-        """Expected RMSE of each individual workload query (Gaussian regime).
+        """Expected RMSE of each individual workload query.
+
+        Gaussian regime only: raises :class:`~repro.exceptions.PrivacyError`
+        when ``delta == 0``, before any solve.
 
         Served in query blocks through the factored row operator when the
         workload is operator-backed, so diagnostics scale to millions of
         queries; ``block_size`` caps the per-block allocation (defaults to
         the materialization budget).
         """
-        return per_query_error(
-            workload, self.strategy, self.privacy, block_size=block_size
-        )
+        privacy = self.privacy if privacy is None else privacy
+        return per_query_error(workload, self.strategy, privacy, block_size=block_size)

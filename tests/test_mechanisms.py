@@ -132,7 +132,6 @@ class TestMatrixMechanism:
         mechanism = MatrixMechanism(wavelet_strategy(8), privacy)
         result = mechanism.run(fig1_workload, np.ones(8), random_state=rng)
         assert result.estimate.shape == (8,)
-        assert result.strategy_answers.shape == (8,)
         assert result.noise_scale > 0
 
     def test_rejects_unsupporting_strategy(self, privacy):
@@ -236,6 +235,82 @@ class TestMatrixMechanismPlanConstants:
             np.testing.assert_array_equal(again.answers, fresh.answers)
             np.testing.assert_array_equal(again.estimate, fresh.estimate)
             assert again.noise_scale == fresh.noise_scale
+
+    def test_warm_full_rank_gaussian_run_never_reads_the_strategy(
+        self, privacy, rng, fig1_workload, monkeypatch
+    ):
+        import scipy.linalg
+
+        strategy = wavelet_strategy(8)
+        mechanism = MatrixMechanism(strategy, privacy)
+        mechanism.run(fig1_workload, np.ones(8), random_state=rng)
+        reads = []
+        matrix = Strategy.matrix
+
+        def counted(self):
+            reads.append("matrix")
+            return matrix.fget(self)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the factor release must not call cho_solve")
+
+        monkeypatch.setattr(Strategy, "matrix", property(counted))
+        monkeypatch.setattr(scipy.linalg, "cho_solve", refused)
+        for seed in range(5):
+            result = mechanism.run(fig1_workload, np.ones(8), random_state=seed)
+            assert result.estimate.shape == (8,)
+        assert reads == []
+
+    def test_rank_deficient_strategy_keeps_the_lstsq_path(self, privacy, rng, monkeypatch):
+        import repro.mechanisms.matrix_mechanism as matrix_module
+
+        strategy = Strategy(np.kron(np.eye(2), np.ones((1, 4))))
+        workload = Workload(np.array([[1.0, 1, 1, 1, 1, 1, 1, 1]]))
+        calls = []
+
+        def counted(matrix, noisy):
+            calls.append(matrix.shape)
+            return least_squares_estimate(matrix, noisy)
+
+        monkeypatch.setattr(matrix_module, "least_squares_estimate", counted)
+        mechanism = MatrixMechanism(strategy, privacy)
+        for _ in range(3):
+            result = mechanism.run(workload, np.arange(8.0), random_state=rng)
+        assert calls == [(2, 8)] * 3
+        assert mechanism._normal_factor is False
+        # The L2 sensitivity is read off A itself: every column norm is 1.
+        assert result.noise_scale == pytest.approx(privacy.gaussian_scale(1.0), rel=1e-12)
+
+    def test_expected_query_errors_take_privacy_per_call(self, privacy, fig1_workload):
+        mechanism = MatrixMechanism(wavelet_strategy(8), privacy)
+        other = PrivacyParams(2.0, 1e-6)
+        np.testing.assert_allclose(
+            mechanism.expected_query_errors(fig1_workload, other),
+            MatrixMechanism(wavelet_strategy(8), other).expected_query_errors(fig1_workload),
+            rtol=1e-12,
+        )
+        assert not np.allclose(
+            mechanism.expected_query_errors(fig1_workload, other),
+            mechanism.expected_query_errors(fig1_workload),
+        )
+
+    def test_expected_query_errors_refuse_pure_epsilon_before_solving(
+        self, fig1_workload, monkeypatch
+    ):
+        import repro.core.error as error_module
+        from repro.exceptions import PrivacyError
+
+        def refused(strategy):
+            raise AssertionError("no block solve may run for delta == 0")
+
+        monkeypatch.setattr(error_module, "_strategy_gram_solver", refused)
+        mechanism = MatrixMechanism(wavelet_strategy(8), PrivacyParams(0.5, 1e-4))
+        with pytest.raises(PrivacyError):
+            mechanism.expected_query_errors(fig1_workload, PrivacyParams(0.5, 0.0))
+        with pytest.raises(PrivacyError):
+            MatrixMechanism(wavelet_strategy(8), PrivacyParams(0.5, 0.0)).expected_query_errors(
+                fig1_workload
+            )
 
     @pytest.mark.parametrize("privacy", [PrivacyParams(0.5, 1e-4), PrivacyParams(0.5, 0.0)])
     def test_pickle_round_trip_is_bit_identical_in_both_regimes(self, privacy, fig1_workload):
