@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from repro.core.error import expected_workload_error, per_query_error
+from repro.core.error import expected_workload_error
 from repro.core.privacy import PrivacyParams
 from repro.core.strategy import Strategy
 from repro.core.workload import Workload
@@ -129,12 +129,11 @@ class MatrixMechanism:
             factor = False
             if not self.nonnegative:
                 try:
-                    factor, _ = scipy.linalg.cho_factor(self.strategy.gram, check_finite=False)
+                    factor = scipy.linalg.cholesky(self.strategy.gram, check_finite=False)
                 except scipy.linalg.LinAlgError:
                     pass
-            # The exact sensitivity of the map released.  cho_factor leaves
-            # scratch in the unused lower triangle, so the norm reads U only.
-            released = self.strategy.matrix if factor is False else np.triu(factor)
+            # The exact sensitivity of the map released.
+            released = self.strategy.matrix if factor is False else factor
             self._column_norm = max_column_norm(released)
             self._normal_factor = factor
         return self._normal_factor
@@ -203,23 +202,3 @@ class MatrixMechanism:
         if privacy.is_approximate:
             return expected_workload_error(workload, self.strategy, privacy)
         return expected_workload_error_l1(workload, self.strategy, privacy)
-
-    def expected_query_errors(
-        self,
-        workload: Workload,
-        privacy: PrivacyParams | None = None,
-        *,
-        block_size: int | None = None,
-    ) -> np.ndarray:
-        """Expected RMSE of each individual workload query.
-
-        Gaussian regime only: raises :class:`~repro.exceptions.PrivacyError`
-        when ``delta == 0``, before any solve.
-
-        Served in query blocks through the factored row operator when the
-        workload is operator-backed, so diagnostics scale to millions of
-        queries; ``block_size`` caps the per-block allocation (defaults to
-        the materialization budget).
-        """
-        privacy = self.privacy if privacy is None else privacy
-        return per_query_error(workload, self.strategy, privacy, block_size=block_size)

@@ -373,7 +373,7 @@ class TestSession:
 
         workload = all_range_queries_1d(16)
         settings = [(0.1 * (i + 1), 10.0 ** -(4 + i % 3)) for i in range(8)]
-        calls = {"cho_factor": 0, "max_column_norm": 0, "supports": 0}
+        calls = {"cholesky": 0, "cho_factor": 0, "max_column_norm": 0, "supports": 0}
         released = []
 
         def counted(name, original):
@@ -393,9 +393,8 @@ class TestSession:
 
         with Server(PrivacyParams(100.0, 0.5), workers=1, random_state=0) as server:
             plan = server.planner.plan(workload, PrivacyParams(*settings[0]))
-            monkeypatch.setattr(
-                scipy.linalg, "cho_factor", counted("cho_factor", scipy.linalg.cho_factor)
-            )
+            for name in ("cholesky", "cho_factor"):
+                monkeypatch.setattr(scipy.linalg, name, counted(name, getattr(scipy.linalg, name)))
             monkeypatch.setattr(
                 matrix_module,
                 "max_column_norm",
@@ -410,7 +409,7 @@ class TestSession:
                 assert answer.plan is plan and answer.spent == PrivacyParams(epsilon, delta)
         # One Cholesky for the cached factor, one inside the support check
         # that runs once per workload; one mechanism per setting made 8 of each.
-        assert calls == {"cho_factor": 2, "max_column_norm": 1, "supports": 1}
+        assert calls == {"cholesky": 1, "cho_factor": 1, "max_column_norm": 1, "supports": 1}
         matrix = plan.mechanism.strategy.matrix
         column_norm = max(
             np.sqrt(sum(row[j] ** 2 for row in matrix.tolist())) for j in range(16)

@@ -15,7 +15,7 @@ from repro import (
     singular_value_bound,
 )
 from repro.core.error import expected_total_squared_error
-from repro.exceptions import SingularStrategyError
+from repro.exceptions import PrivacyError, SingularStrategyError
 from repro.strategies import identity_strategy, wavelet_strategy
 
 
@@ -96,6 +96,16 @@ class TestPerQueryError:
         workload = Workload(np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
         errors = per_query_error(workload, identity_strategy(3), privacy)
         assert errors[1] > errors[0]
+
+    def test_refuses_pure_epsilon_before_solving(self, fig1_workload, monkeypatch):
+        import repro.core.error as error_module
+
+        def refused(strategy):
+            raise AssertionError("no block solve may run for delta == 0")
+
+        monkeypatch.setattr(error_module, "_strategy_gram_solver", refused)
+        with pytest.raises(PrivacyError):
+            per_query_error(fig1_workload, wavelet_strategy(8), PrivacyParams(0.5, 0.0))
 
 
 class TestBounds:

@@ -281,37 +281,6 @@ class TestMatrixMechanismPlanConstants:
         # The L2 sensitivity is read off A itself: every column norm is 1.
         assert result.noise_scale == pytest.approx(privacy.gaussian_scale(1.0), rel=1e-12)
 
-    def test_expected_query_errors_take_privacy_per_call(self, privacy, fig1_workload):
-        mechanism = MatrixMechanism(wavelet_strategy(8), privacy)
-        other = PrivacyParams(2.0, 1e-6)
-        np.testing.assert_allclose(
-            mechanism.expected_query_errors(fig1_workload, other),
-            MatrixMechanism(wavelet_strategy(8), other).expected_query_errors(fig1_workload),
-            rtol=1e-12,
-        )
-        assert not np.allclose(
-            mechanism.expected_query_errors(fig1_workload, other),
-            mechanism.expected_query_errors(fig1_workload),
-        )
-
-    def test_expected_query_errors_refuse_pure_epsilon_before_solving(
-        self, fig1_workload, monkeypatch
-    ):
-        import repro.core.error as error_module
-        from repro.exceptions import PrivacyError
-
-        def refused(strategy):
-            raise AssertionError("no block solve may run for delta == 0")
-
-        monkeypatch.setattr(error_module, "_strategy_gram_solver", refused)
-        mechanism = MatrixMechanism(wavelet_strategy(8), PrivacyParams(0.5, 1e-4))
-        with pytest.raises(PrivacyError):
-            mechanism.expected_query_errors(fig1_workload, PrivacyParams(0.5, 0.0))
-        with pytest.raises(PrivacyError):
-            MatrixMechanism(wavelet_strategy(8), PrivacyParams(0.5, 0.0)).expected_query_errors(
-                fig1_workload
-            )
-
     @pytest.mark.parametrize("privacy", [PrivacyParams(0.5, 1e-4), PrivacyParams(0.5, 0.0)])
     def test_pickle_round_trip_is_bit_identical_in_both_regimes(self, privacy, fig1_workload):
         import pickle
