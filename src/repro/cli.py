@@ -31,11 +31,12 @@ from stdin (or ``--requests FILE``) through a multi-tenant
 "epsilon": ...}``; each reply is one JSON line.  Every tenant gets its own
 budget (``--budget-epsilon`` / ``--budget-delta``), requests are answered
 from a thread pool, and repeated workload shapes across tenants share one
-plan cache.  ``--execution process`` moves paid answering and cold strategy
-optimization to a worker-process pool (past the GIL); ``--async`` serves
-through the asyncio admission front-end, which bounds the number of
-requests in flight (``--queue-depth``) and rejects the rest with a
-``retry_after`` hint instead of buffering without bound.  ``--forecast``
+plan cache.  Requests stream: each reply is written as soon as it and every
+earlier one are done, so a live pipe gets answers before EOF.
+``--execution process`` moves paid answering and cold strategy
+optimization to a worker-process pool (past the GIL).  Admission is
+unbounded unless ``--queue-depth N`` is given; then requests beyond N in
+flight are rejected at once with a ``retry_after`` hint.  ``--forecast``
 turns on workload forecasting and adaptive pre-planning (epoch length via
 ``--forecast-epoch``, forecast width via ``--forecast-top-k``): predicted-hot
 shapes are pre-warmed in the plan cache before they arrive, without changing
@@ -195,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-depth",
         type=int,
         default=None,
-        help="admission bound for --async: requests beyond this many in flight "
-        "are rejected with a retry_after hint (default: 16 x workers)",
+        help="admission bound: requests beyond this many in flight are rejected "
+        "with a retry_after hint (default: unbounded)",
     )
     serve.add_argument(
         "--execution",
@@ -204,13 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="thread",
         help="execution tier: 'process' moves paid answering and cold strategy "
         "optimization to a worker-process pool (past the GIL)",
-    )
-    serve.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="serve through the asyncio admission front-end (bounded queue, "
-        "backpressure, streaming stdin)",
     )
     serve.add_argument(
         "--state",
@@ -494,11 +488,6 @@ def _command_lint(arguments, out) -> int:
 
 def _command_serve(arguments, out) -> int:
     # Imported lazily so `list`/`run` keep their fast startup.
-    import signal
-    import threading
-
-    from repro.core.privacy import PrivacyParams
-    from repro.engine import Server
     from repro.relational.csvio import read_csv
     from repro.relational.vectorize import infer_schema
 
@@ -508,18 +497,26 @@ def _command_serve(arguments, out) -> int:
     except OSError as error:
         raise ReproError(f"cannot read data file {arguments.data!r}: {error}") from error
     schema = infer_schema(relation, spec)
-    if arguments.requests is not None:
-        try:
-            with open(arguments.requests) as handle:
-                lines = [line for line in handle if line.strip()]
-        except OSError as error:
-            raise ReproError(
-                f"cannot read requests file {arguments.requests!r}: {error}"
-            ) from error
-    else:
-        # Stream stdin lazily so long-lived sessions answer as requests
-        # arrive; EOF (ctrl-D) is the normal shutdown path.
-        lines = (line for line in sys.stdin if line.strip())
+    if arguments.requests is None:
+        # EOF (ctrl-D) is the normal shutdown path.
+        return _serve_lines(arguments, schema, relation, sys.stdin, out)
+    try:
+        handle = open(arguments.requests)
+    except OSError as error:
+        raise ReproError(
+            f"cannot read requests file {arguments.requests!r}: {error}"
+        ) from error
+    with handle:
+        return _serve_lines(arguments, schema, relation, handle, out)
+
+
+def _serve_lines(arguments, schema, relation, lines, out) -> int:
+    import signal
+    import threading
+
+    from repro.core.privacy import PrivacyParams
+    from repro.engine import Server
+
     server = Server(
         PrivacyParams(arguments.budget_epsilon, arguments.budget_delta),
         schema=schema,
@@ -551,10 +548,7 @@ def _command_serve(arguments, out) -> int:
     except ValueError:  # not the main thread (e.g. embedded callers)
         previous_handler = None
     try:
-        if arguments.use_async:
-            server.serve_async(lines, out=out, stop=stop)
-        else:
-            server.serve(lines, out=out, stop=stop)
+        server.serve(lines, out=out, stop=stop)
     finally:
         if previous_handler is not None:
             try:

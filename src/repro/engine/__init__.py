@@ -19,8 +19,8 @@ path from a request to consistent private answers:
 * :mod:`repro.engine.server` — the multi-tenant :class:`Server`: one shared
   planner/plan cache, per-tenant budgeted sessions, thread-pooled request
   answering, shard-parallel execution of large requests, in-flight
-  coalescing of identical ones, and an asyncio admission front-end with
-  bounded queues and backpressure;
+  coalescing of identical ones, and one streaming line-protocol loop
+  (unbounded admission by default, ``queue_depth`` for backpressure);
 * :mod:`repro.engine.store` — the durable state tier (:class:`StateStore`):
   a crash-safe SQLite file holding the write-ahead budget ledger, persisted
   plans (warm reboots) and released estimates (free reuse across restarts);

@@ -42,16 +42,17 @@ Three pieces sit above the thread pools (``docs/architecture.md`` §7):
   receive the same answer, and the tenant's budget is charged exactly once
   per burst (the planner's per-fingerprint build gates, extended from
   planning to answering);
-* **async admission** (:meth:`Server.serve_async`) — an asyncio front-end
-  with a bounded admission queue: requests beyond ``queue_depth`` are
-  rejected immediately with a ``retry_after`` hint instead of buffered
-  without bound, and a ``stop`` event drains in-flight work and rejects the
+* **the line protocol** (:meth:`Server.serve`) — one streaming front-end:
+  it reads lines as they arrive, replies in input order as soon as each
+  reply's prefix is complete, keeps each tenant's requests in order, and
+  optionally bounds admission (``queue_depth``): requests beyond the bound
+  are rejected immediately with a ``retry_after`` hint instead of
+  buffered, and a ``stop`` event drains in-flight work and rejects the
   rest (clean shutdown).
 """
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import json
 import threading
@@ -84,11 +85,6 @@ __all__ = ["Server"]
 #: Below this many query rows (or relation rows) a request is answered on the
 #: calling thread: the per-shard dispatch overhead would exceed the matmul.
 DEFAULT_SHARD_MIN_ROWS = 4096
-
-#: Default admission bound for :meth:`Server.serve_async`: how many requests
-#: may be admitted-but-unfinished before new ones are rejected with a
-#: ``retry_after`` hint.  Scaled with ``workers`` at construction.
-DEFAULT_QUEUE_DEPTH_PER_WORKER = 16
 
 
 class _StageStats:
@@ -181,9 +177,10 @@ class Server:
         Answers are bit-for-bit identical either way (the request RNG's
         state crosses the pickle boundary); only the parallelism differs.
     queue_depth:
-        Admission bound for :meth:`serve_async` (defaults to ``16 x
-        workers``): requests beyond it are rejected with ``retry_after``
-        instead of buffered without bound.
+        Admission bound for :meth:`serve`: at most this many requests of
+        one stream may be admitted-but-unfinished, and the rest are
+        rejected with ``retry_after`` instead of buffered.  ``None`` (the
+        default) admits every request.
     store:
         The durable state tier (``docs/architecture.md`` §8): a
         :class:`~repro.engine.store.StateStore`, or a path (the server opens
@@ -240,6 +237,8 @@ class Server:
             raise ReproError(
                 f"execution must be 'thread' or 'process', got {execution!r}"
             )
+        if queue_depth is not None and queue_depth < 0:
+            raise ReproError(f"queue_depth must be >= 0, got {queue_depth}")
         self.budget = budget
         self.schema = schema
         self.planner = planner if planner is not None else Planner()
@@ -247,11 +246,7 @@ class Server:
         self.shards = self.workers if shards is None else max(1, int(shards))
         self.shard_min_rows = max(1, int(shard_min_rows))
         self.execution = execution
-        self.queue_depth = (
-            DEFAULT_QUEUE_DEPTH_PER_WORKER * self.workers
-            if queue_depth is None
-            else max(0, int(queue_depth))
-        )
+        self.queue_depth = None if queue_depth is None else int(queue_depth)
         self.default_epsilon = default_epsilon
         self.default_delta = default_delta
         self._random_state = random_state
@@ -725,8 +720,13 @@ class Server:
                 pass
         return "default"
 
-    def serve(self, lines, out=None, *, stop: threading.Event | None = None):
+    def serve(self, lines, out=None, *, stop: threading.Event | None = None) -> list:
         """Run the line protocol over ``lines``, pipelined through the pool.
+
+        ``lines`` may be any iterable, including a live stream such as
+        ``sys.stdin``: it is pulled one line at a time on the calling
+        thread, never read ahead, so a reply can go out before the next
+        line exists.
 
         Distinct tenants are answered concurrently; each tenant's own
         requests run **in submission order** (at most one in flight), so a
@@ -740,73 +740,100 @@ class Server:
         than by blocking a pool worker on a predecessor, which could
         deadlock a small pool.
 
+        With ``queue_depth`` set, at most that many requests may be
+        admitted-but-unfinished at once; a request arriving beyond that is
+        rejected *immediately* with ``{"rejected": true, "retry_after":
+        seconds}`` and touches no session and no budget.
+
         ``stop`` (a :class:`threading.Event`) makes shutdown clean: once
-        set, requests not yet launched are answered with a ``rejected``
+        set, requests not yet started are answered with a ``rejected``
         reply instead of executing, while everything already in flight
         drains and replies normally — the SIGINT path of ``python -m repro
         serve``.
         """
-        lines = [line for line in lines if line.strip()]
-        total = len(lines)
-        replies: list = [None] * total
-        queues: dict[str, list[int]] = {}
-        for index, line in enumerate(lines):
-            queues.setdefault(self._peek_tenant(line), []).append(index)
-        finished = threading.Event()
-        state = {"remaining": total, "emitted": 0}
-        state_lock = threading.Lock()
+        replies: list = []
+        # Tenants with a request in flight, mapped to the requests queued
+        # behind it as (index, line, admitted-at) triples.
+        queued: dict[str, deque] = {}
+        progress = threading.Condition()
+        state = {"emitted": 0, "unfinished": 0}
 
-        def flush_ready() -> None:
-            while state["emitted"] < total and replies[state["emitted"]] is not None:
+        def shutting_down(tenant: str) -> dict | None:
+            if stop is None or not stop.is_set():
+                return None
+            error = "server shutting down; request not admitted"
+            return {"tenant": tenant, "error": error, "rejected": True}
+
+        def settle(index: int, reply: dict) -> None:
+            # Caller holds ``progress``.
+            replies[index] = reply
+            while state["emitted"] < len(replies) and replies[state["emitted"]] is not None:
                 if out is not None:
                     print(json.dumps(replies[state["emitted"]]), file=out, flush=True)
                 state["emitted"] += 1
+            progress.notify_all()
 
-        def launch(tenant: str) -> None:
-            queue = queues[tenant]
-            if not queue:
-                return
-            if stop is not None and stop.is_set():
-                # Drain: reject everything this tenant has not yet started.
-                with state_lock:
-                    while queue:
-                        index = queue.pop(0)
-                        replies[index] = {
-                            "tenant": tenant,
-                            "error": "server shutting down; request not admitted",
-                            "rejected": True,
-                        }
-                        state["remaining"] -= 1
-                    flush_ready()
-                    if state["remaining"] == 0:
-                        finished.set()
-                return
-            index = queue.pop(0)
-            future = self._pool.submit(self.handle_request, lines[index])
+        def run(line: str, admitted: float) -> dict:
+            self._stage_stats.record("queue_wait", time.perf_counter() - admitted)
+            return self.handle_request(line)
 
+        def start(tenant: str, index: int, line: str, admitted: float) -> None:
             def finish(done) -> None:
                 try:
                     reply = done.result()
                 except Exception as error:  # pragma: no cover - handle_request guards
                     reply = {"tenant": tenant, "error": repr(error)}
-                with state_lock:
-                    replies[index] = reply
-                    state["remaining"] -= 1
-                    flush_ready()
-                    if state["remaining"] == 0:
-                        finished.set()
-                launch(tenant)
+                advance(tenant, index, reply)
 
-            future.add_done_callback(finish)
+            self._pool.submit(run, line, admitted).add_done_callback(finish)
 
-        for tenant in list(queues):
-            launch(tenant)
-        if total == 0:
-            finished.set()
-        finished.wait()
+        def advance(tenant: str, index: int, reply: dict) -> None:
+            """Settle one request of ``tenant`` and start its next one."""
+            while True:
+                with progress:
+                    state["unfinished"] -= 1
+                    settle(index, reply)
+                    if not queued[tenant]:
+                        del queued[tenant]
+                        return
+                    index, line, admitted = queued[tenant].popleft()
+                reply = shutting_down(tenant)
+                if reply is None:
+                    start(tenant, index, line, admitted)
+                    return
+
+        for line in lines:
+            if not line.strip():
+                continue
+            tenant = self._peek_tenant(line)
+            admitted = time.perf_counter()
+            with progress:
+                index = len(replies)
+                replies.append(None)
+                reply = shutting_down(tenant)
+                unfinished = state["unfinished"]
+                if reply is None and self.queue_depth is not None and (
+                    unfinished >= self.queue_depth
+                ):
+                    reply = {
+                        "tenant": tenant,
+                        "error": f"server overloaded: admission queue full ({self.queue_depth})",
+                        "rejected": True,
+                        "retry_after": self._retry_after(unfinished),
+                    }
+                if reply is not None:
+                    settle(index, reply)
+                    continue
+                state["unfinished"] += 1
+                if tenant in queued:
+                    queued[tenant].append((index, line, admitted))
+                    continue
+                queued[tenant] = deque()
+            start(tenant, index, line, admitted)
+        with progress:
+            progress.wait_for(lambda: state["emitted"] == len(replies))
         return replies
 
-    # ---------------------------------------------------------- async front-end
     def _retry_after(self, in_flight: int) -> float:
         """A retry hint for a rejected request: roughly how long the current
         backlog needs to drain one slot (mean execute latency x queue depth
@@ -815,118 +842,6 @@ class Server:
         if mean is None:
             mean = 0.1
         return round(max(0.05, mean * max(in_flight, 1) / self.workers), 4)
-
-    def serve_async(
-        self,
-        lines,
-        out=None,
-        *,
-        queue_depth: int | None = None,
-        stop: threading.Event | None = None,
-    ) -> list:
-        """Run the line protocol behind an asyncio admission front-end.
-
-        Same request/reply semantics as :meth:`serve` (per-tenant order,
-        replies in input order), plus **admission control**: at most
-        ``queue_depth`` requests may be admitted-but-unfinished at once.  A
-        request arriving beyond that is rejected *immediately* with
-        ``{"rejected": true, "retry_after": seconds}`` — bounded queues and
-        backpressure, never unbounded buffering.  ``lines`` may be any
-        iterable, including a live stream (e.g. ``sys.stdin``): a
-        non-materialized source is pulled on a thread so the event loop
-        keeps draining completions while waiting for input.
-
-        The event loop bridges to the same request pool (and through it the
-        process execution tier, if configured) via ``run_in_executor`` —
-        the front-end admits and orders; it never computes.
-
-        Setting ``stop`` mid-stream stops admission (subsequent lines get
-        ``rejected`` replies) while admitted work drains normally.
-        """
-        return asyncio.run(self._serve_async(lines, out, queue_depth, stop))
-
-    async def _serve_async(self, lines, out, queue_depth, stop) -> list:
-        loop = asyncio.get_running_loop()
-        depth = self.queue_depth if queue_depth is None else max(0, int(queue_depth))
-        replies: list = []
-        state = {"emitted": 0, "in_flight": 0}
-        tails: dict[str, asyncio.Task] = {}
-        tasks: list[asyncio.Task] = []
-
-        def flush_ready() -> None:
-            while state["emitted"] < len(replies) and replies[state["emitted"]] is not None:
-                if out is not None:
-                    print(json.dumps(replies[state["emitted"]]), file=out, flush=True)
-                state["emitted"] += 1
-
-        def handle_timed(line: str, admitted: float) -> dict:
-            self._stage_stats.record("queue_wait", time.perf_counter() - admitted)
-            return self.handle_request(line)
-
-        async def answer(index: int, line: str, predecessor, admitted: float) -> None:
-            if predecessor is not None:
-                try:
-                    await predecessor
-                except Exception:  # pragma: no cover - predecessors never raise
-                    pass
-            try:
-                reply = await loop.run_in_executor(self._pool, handle_timed, line, admitted)
-            except Exception as error:  # pragma: no cover - handle_request guards
-                reply = {"tenant": self._peek_tenant(line), "error": repr(error)}
-            replies[index] = reply
-            state["in_flight"] -= 1
-            flush_ready()
-
-        materialized = isinstance(lines, (list, tuple))
-        iterator = iter(lines)
-        sentinel = object()
-        while True:
-            if materialized:
-                line = next(iterator, sentinel)
-            else:
-                # A live stream blocks on input; pull it off-loop so
-                # completions keep draining (and rejections keep flowing)
-                # while we wait for the next line.
-                line = await loop.run_in_executor(None, next, iterator, sentinel)
-            if line is sentinel:
-                break
-            if not str(line).strip():
-                continue
-            line = str(line)
-            index = len(replies)
-            replies.append(None)
-            if stop is not None and stop.is_set():
-                replies[index] = {
-                    "tenant": self._peek_tenant(line),
-                    "error": "server shutting down; request not admitted",
-                    "rejected": True,
-                }
-                flush_ready()
-                continue
-            if state["in_flight"] >= depth:
-                replies[index] = {
-                    "tenant": self._peek_tenant(line),
-                    "error": f"server overloaded: admission queue full ({depth})",
-                    "rejected": True,
-                    "retry_after": self._retry_after(state["in_flight"]),
-                }
-                flush_ready()
-                continue
-            state["in_flight"] += 1
-            tenant = self._peek_tenant(line)
-            task = loop.create_task(
-                answer(index, line, tails.get(tenant), time.perf_counter())
-            )
-            tails[tenant] = task
-            tasks.append(task)
-            # Yield so completion callbacks run between admissions — this is
-            # what lets a fast burst free slots instead of tripping the
-            # admission bound spuriously.
-            await asyncio.sleep(0)
-        if tasks:
-            await asyncio.gather(*tasks)
-        flush_ready()
-        return replies
 
     # ------------------------------------------------------------- monitoring
     def stats(self) -> dict:

@@ -16,6 +16,9 @@ one shared engine:
   produce bit-identical answers whether they ran on 8 threads or 1.
 """
 
+import io
+import json
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -454,3 +457,30 @@ class TestLineProtocolOrdering:
         assert server.planner.plans_built == 1
         assert replies[2]["spent"] is not None
         assert "error" in replies[3]
+
+    @pytest.mark.parametrize("queue_depth", [None, 3])
+    def test_stream_bookkeeping_survives_thread_switch_storms(self, queue_depth):
+        """Many tenants, more workers than cores, a tiny switch interval:
+        every line gets exactly one reply, written once, in input order."""
+        tenants, per_tenant = 8, 40
+        lines = [
+            json.dumps({"tenant": f"t{index % tenants}", "sql": "not sql"})
+            for index in range(tenants * per_tenant)
+        ]
+        out = io.StringIO()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Server(PRIVACY, workers=THREADS, queue_depth=queue_depth) as server:
+                replies = server.serve(iter(lines), out=out)
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [json.loads(line)["tenant"] for line in lines]
+        assert [reply["tenant"] for reply in replies] == expected
+        assert [json.loads(line) for line in out.getvalue().splitlines()] == replies
+        rejected = [reply for reply in replies if reply.get("rejected")]
+        if queue_depth is None:
+            assert rejected == []
+        for reply in replies:
+            assert "error" in reply
+        assert all(reply["retry_after"] > 0 for reply in rejected)

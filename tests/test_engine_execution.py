@@ -1,17 +1,19 @@
-"""The execution tier (PR 6): process pool, coalescing, async admission.
+"""The execution tier (PR 6): process pool, coalescing, admission control.
 
 What horizontal scale-out must *not* change:
 
 * **bit-for-bit determinism** — the same seeded request produces the same
-  answer whether it ran inline, on a worker process, or via the async
-  front-end; plans survive the pickle boundary exactly;
+  answer whether it ran inline, on a worker process, or through the
+  streaming line protocol; plans survive the pickle boundary exactly;
 * **budget integrity** — N racing identical requests charge the tenant
   exactly once (coalescing), and a rejected request (backpressure, drain)
   charges nothing at all;
-* **bounded queues** — the admission front-end rejects with a
-  ``retry_after`` hint instead of buffering without bound.
+* **bounded queues** — with ``queue_depth`` set, the line protocol rejects
+  with a ``retry_after`` hint instead of buffering without bound;
+* **streaming** — a reply is written before the next input line is read.
 """
 
+import io
 import pickle
 import threading
 
@@ -21,6 +23,7 @@ import pytest
 from repro.core.privacy import PrivacyParams
 from repro.core.workload import Workload
 from repro.engine import Planner, ProcessExecutor, Server
+from repro.exceptions import ReproError
 from repro.workloads import all_range_queries_1d
 
 PRIVACY = PrivacyParams(epsilon=0.5, delta=1e-4)
@@ -277,6 +280,20 @@ class TestCoalescing:
 
 
 # ------------------------------------------------- backpressure and draining
+class _ReplyWriter(io.StringIO):
+    """An ``out`` stream that signals once a whole reply line is written."""
+
+    def __init__(self):
+        super().__init__()
+        self.replied = threading.Event()
+
+    def write(self, text):
+        written = super().write(text)
+        if "\n" in text:
+            self.replied.set()
+        return written
+
+
 class TestAdmissionControl:
     LINES = [
         '{"tenant": "a", "sql": "SELECT COUNT(*) FROM t GROUP BY color"}',
@@ -304,8 +321,8 @@ class TestAdmissionControl:
         return Server(PrivacyParams(2.0, 1e-4), **options)
 
     def test_backpressure_rejects_and_charges_nothing(self):
-        server = self._server()
-        replies = server.serve_async(self.LINES, queue_depth=0)
+        server = self._server(queue_depth=0)
+        replies = server.serve(self.LINES)
         server.close()
         assert len(replies) == 3
         for reply in replies:
@@ -316,8 +333,8 @@ class TestAdmissionControl:
         assert server.stats()["answers_served"] == 0
 
     def test_admitted_requests_serve_normally(self):
-        server = self._server()
-        replies = server.serve_async(self.LINES, queue_depth=16)
+        server = self._server(queue_depth=16)
+        replies = server.serve(self.LINES)
         server.close()
         assert len(replies) == 3
         for reply in replies:
@@ -325,33 +342,73 @@ class TestAdmissionControl:
             assert reply["spent"] is not None
         assert set(server.stats()["spent"]) == {"a", "b", "c"}
 
-    def test_async_replies_match_sync_replies(self):
+    def test_negative_queue_depth_is_refused(self):
+        with pytest.raises(ReproError, match="queue_depth"):
+            Server(PRIVACY, queue_depth=-1)
+
+    def test_streamed_input_matches_list_input(self):
         lines = [
             '{"tenant": "a", "sql": "SELECT COUNT(*) FROM t GROUP BY color"}',
             "{\"tenant\": \"a\", \"sql\": \"SELECT COUNT(*) FROM t WHERE color = 'red'\"}",
         ]
-        sync_server = self._server()
-        sync = sync_server.serve(lines)
-        sync_server.close()
-        async_server = self._server()
-        concurrent = async_server.serve_async(lines, queue_depth=8)
-        async_server.close()
-        for a, b in zip(sync, concurrent):
-            assert a["answers"] == b["answers"]
+        listed_server = self._server()
+        listed = listed_server.serve(lines)
+        listed_server.close()
+        streamed_server = self._server(queue_depth=8)
+        streamed = streamed_server.serve(line for line in lines)
+        streamed_server.close()
+        assert [reply["answers"] for reply in streamed] == [
+            reply["answers"] for reply in listed
+        ]
         # Per-tenant ordering held: the follow-up reused the release.
-        assert concurrent[1]["served_from_release"]
+        assert streamed[1]["served_from_release"]
+
+    def test_replies_before_reading_the_next_line(self):
+        """A live input stream gets each reply before its next line exists."""
+        out = _ReplyWriter()
+        replied_first = []
+
+        def live():
+            yield self.LINES[0]
+            replied_first.append(out.replied.wait(timeout=10))
+            yield self.LINES[1]
+
+        server = self._server()
+        replies = server.serve(live(), out=out)
+        server.close()
+        assert replied_first == [True]
+        assert [reply["tenant"] for reply in replies] == ["a", "b"]
+        assert len(out.getvalue().splitlines()) == 2
 
     def test_stop_drains_without_executing(self):
         stop = threading.Event()
         stop.set()
         server = self._server()
-        sync = server.serve(self.LINES, stop=stop)
-        concurrent = server.serve_async(self.LINES, stop=stop)
+        replies = server.serve(self.LINES, stop=stop)
         server.close()
-        for reply in list(sync) + list(concurrent):
+        for reply in replies:
             assert reply["rejected"] is True
             assert "shutting down" in reply["error"]
         assert server.stats()["spent"] == {}
+
+    def test_stop_mid_stream_answers_started_and_rejects_later(self):
+        stop = threading.Event()
+        out = _ReplyWriter()
+
+        def live():
+            yield self.LINES[0]
+            assert out.replied.wait(timeout=10)
+            stop.set()
+            yield from self.LINES[1:]
+
+        server = self._server()
+        replies = server.serve(live(), out=out, stop=stop)
+        server.close()
+        assert "rejected" not in replies[0] and replies[0]["spent"] is not None
+        for reply in replies[1:]:
+            assert reply["rejected"] is True
+            assert "shutting down" in reply["error"]
+        assert set(server.stats()["spent"]) == {"a"}
 
     def test_stage_stats_populated(self):
         server = self._server()
@@ -364,7 +421,7 @@ class TestAdmissionControl:
         lines = self.LINES[1:] + [
             "{\"tenant\": \"a\", \"sql\": \"SELECT COUNT(*) FROM t WHERE color = 'red'\"}",
         ]
-        server.serve_async(lines, queue_depth=8)
+        server.serve(lines)
         server.close()
         stages = server.stats()["stages"]
         # Tenants b and c repeat a's shape and find its plan warm.

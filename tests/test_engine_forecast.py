@@ -510,12 +510,16 @@ class TestServerStatsGoldenShape:
             "answers_served",
             "workers",
             "shards",
-            "queue_depth",
             "plans_built",
             "plan_requests",
         ):
             assert isinstance(stats[section], (int, float)), section
         assert stats["execution"] in ("thread", "process")
+        # Unbounded admission by default; a set bound reads back exactly.
+        assert stats["queue_depth"] is None
+        with Server(PRIVACY, workers=1, queue_depth=8) as bounded:
+            assert bounded.stats()["queue_depth"] == 8
+            assert type(bounded.stats()["queue_depth"]) is int
         # Counter sections: present, and numeric all the way down.
         assert_all_numeric(stats["coalesce"], "coalesce")
         assert_all_numeric(stats["stages"], "stages")

@@ -2,6 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -372,3 +377,53 @@ class TestCliServe:
         )
         assert code == 1
         assert "cannot read requests file" in capsys.readouterr().err
+
+    def test_serve_negative_queue_depth_errors(self, files, tmp_path, capsys):
+        schema, data = files
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text("SELECT COUNT(*) FROM people\n")
+        code = main(
+            ["serve", "--schema", str(schema), "--data", str(data),
+             "--requests", str(requests), "--queue-depth", "-1"],
+            out=io.StringIO(),
+        )
+        assert code == 1
+        assert "queue_depth must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.timeout(120)
+    def test_serve_replies_on_a_live_pipe_before_eof(self, files):
+        """One line in, one reply out, while stdin is still open."""
+        schema, data = files
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + [path for path in env.get("PYTHONPATH", "").split(os.pathsep) if path]
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--schema", str(schema),
+             "--data", str(data), "--seed", "0"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            process.stdin.write("SELECT COUNT(*) FROM people\n")
+            process.stdin.flush()
+            first = []
+            reader = threading.Thread(
+                target=lambda: first.append(process.stdout.readline()), daemon=True
+            )
+            reader.start()
+            reader.join(timeout=60)
+            assert first and first[0], "no reply while stdin was open"
+            reply = json.loads(first[0])
+            assert reply["tenant"] == "default" and reply["spent"] is not None
+            # Only now close stdin: EOF is the normal shutdown.
+            _, err = process.communicate(timeout=60)
+            assert process.returncode == 0, err
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()

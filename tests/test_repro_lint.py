@@ -8,6 +8,7 @@ the integration tier asserts the real tree lints green — so the CI
 noise.
 """
 
+import re
 import subprocess
 import sys
 import textwrap
@@ -178,6 +179,25 @@ class TestLockDiscipline:
         )
         flagged = hits(findings, "lock-discipline")
         assert [finding.line for finding in flagged] == [6]
+
+    def test_unlocked_server_counter_write_is_flagged(self, tmp_path):
+        """Mutate the real server: drop one `with self._lock:` guard."""
+        source = (ROOT / "src" / "repro" / "engine" / "server.py").read_text()
+        mutated, count = re.subn(
+            r"(?P<indent>[ ]*)with self\._lock:\n[ ]*(?P<write>self\._answers_served \+= 1)",
+            r"\g<indent>\g<write>",
+            source,
+            count=1,
+        )
+        assert count == 1
+        findings = lint_tree(
+            tmp_path, {"src/repro/engine/server.py": mutated}, rules=["lock-discipline"]
+        )
+        flagged = hits(findings, "lock-discipline")
+        assert len(flagged) == 1
+        assert "self._answers_served" in flagged[0].message
+        line = mutated.splitlines()[flagged[0].line - 1]
+        assert line.strip() == "self._answers_served += 1"
 
 
 # -------------------------------------------------------------- WorkerPurity

@@ -96,6 +96,24 @@ LOCK_MANIFEST: tuple[LockRule, ...] = (
         doc_granularity="per tenant",
     ),
     LockRule(
+        doc_state="`Server` tenant sessions, served-answer counter, closed flag",
+        doc_guard="the server's re-entrant lock; requests execute outside it",
+        doc_granularity="per server",
+        module="repro.engine.server",
+        owner="Server",
+        attributes=("_sessions", "_answers_served", "_closed"),
+        lock="self._lock",
+    ),
+    LockRule(
+        doc_state="`Server` in-flight coalescing map + leader/follower counters",
+        doc_guard="the coalescing lock; the leader executes outside it",
+        doc_granularity="per server",
+        module="repro.engine.server",
+        owner="Server",
+        attributes=("_inflight", "_coalesce_leaders", "_coalesce_followers"),
+        lock="self._coalesce_lock",
+    ),
+    LockRule(
         doc_state="`ArrivalRecorder` epoch counts + pending store deltas",
         doc_guard="per-recorder lock",
         doc_granularity="per tenant",
