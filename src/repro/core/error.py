@@ -21,12 +21,20 @@ import threading
 from collections import OrderedDict
 
 import numpy as np
+import scipy.linalg
 
 from repro.core.privacy import PrivacyParams
 from repro.core.strategy import Strategy
 from repro.core.workload import Workload
 from repro.exceptions import MaterializationError, SingularStrategyError
-from repro.utils.linalg import DeflationSpace, hutchpp_trace, pcg_solve, psd_solver, trace_ratio
+from repro.utils.linalg import (
+    DeflationSpace,
+    factor_solver,
+    hutchpp_trace,
+    pcg_solve,
+    pseudo_inverse_trace,
+    trace_ratio,
+)
 from repro.utils.operators import (
     MATERIALIZATION_LIMIT,
     SPECTRUM_CUTOFF,
@@ -498,6 +506,11 @@ def workload_strategy_trace(workload: Workload, strategy: Strategy) -> float:
     structure is exploited when present, with a budget-gated dense fallback.
     Operators are tried first even below the densification budget — a
     matching factorization beats the ``O(n^3)`` dense solve at any size.
+
+    The dense fallback prices against the strategy's cached
+    :attr:`~repro.core.strategy.Strategy.normal_factor`, the same factor the
+    matrix mechanism later releases through; a singular Gram goes through
+    the guarded pseudo-inverse instead.
     """
     memo: dict = {}
     workload_op = workload.gram_operator
@@ -506,7 +519,30 @@ def workload_strategy_trace(workload: Workload, strategy: Strategy) -> float:
         structured = _structured_trace_or_none(workload_op, strategy_op, memo)
         if structured is not None:
             return structured
+    cells = strategy.column_count
+    if within_materialization_budget(cells, cells):
+        factor = strategy.normal_factor
+        if factor is False:
+            return pseudo_inverse_trace(workload.gram, strategy.gram)
+        return _factor_trace(workload, factor)
     return _trace_core(workload.gram_source(), strategy.gram_source(), _memo=memo)
+
+
+def _factor_trace(workload: Workload, factor: np.ndarray) -> float:
+    """``trace(W^T W (U^T U)^{-1})`` from the strategy Gram's Cholesky factor ``U``.
+
+    With explicit rows and ``m <= n`` this is ``||U^{-T} W^T||_F^2``, one
+    ``n x m`` triangular solve; otherwise one ``cho_solve`` against
+    ``W^T W``.  Neither factors anything.
+    """
+    if workload.has_matrix and workload.query_count <= workload.column_count:
+        # W^T is a view of the workload's own rows, so it is never overwritten.
+        solved = scipy.linalg.solve_triangular(
+            factor, workload.matrix.T, trans="T", check_finite=False
+        )
+        return float(np.einsum("ij,ij->", solved, solved))
+    solved = scipy.linalg.cho_solve((factor, False), workload.gram, check_finite=False)
+    return float(np.trace(solved))
 
 
 def expected_total_squared_error(
@@ -545,13 +581,15 @@ def _strategy_gram_solver(strategy: Strategy):
 
     Structured strategies (Kronecker products, factorized eigen designs,
     completed designs via the Woodbury machinery) serve the solve through the
-    shared inverse-apply protocol; everything else factorizes the dense Gram
-    exactly once and reuses it across all query blocks.
+    shared inverse-apply protocol; everything else solves against the
+    strategy's cached Cholesky factor, or the spectral pseudo-inverse of a
+    singular Gram.
     """
     operator = strategy.gram_operator
     if operator is not None and hasattr(operator, "inverse_apply"):
         return operator.inverse_apply
-    return psd_solver(strategy.gram)
+    factor = strategy.normal_factor
+    return factor_solver(None if factor is False else factor, strategy.gram)
 
 
 def per_query_error(

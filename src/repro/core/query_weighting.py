@@ -22,6 +22,7 @@ from repro.core.strategy import Strategy
 from repro.core.workload import Workload
 from repro.exceptions import OptimizationError
 from repro.optimize import WeightingProblem, WeightingSolution, solve_weighting
+from repro.utils.linalg import gram_product
 from repro.utils.operators import EigenDiagOperator, KroneckerEigenbasis
 from repro.utils.validation import check_matrix
 
@@ -136,22 +137,39 @@ def build_weighted_strategy(
     whose weight is negligible relative to the largest weight are dropped from
     the strategy (they carry no information), mirroring the paper's remark
     that zero-weight design queries are omitted.
+
+    The strategy carries the design's own Gram ``Q_k^T diag(u) Q_k +
+    diag(c)`` (kept queries ``Q_k``, squared weights ``u``, squared
+    completion heights ``c``): a product over the ``k <= n`` weighted rows
+    instead of all ``p`` rows of ``A``.  The rows are written into one
+    ``p x n`` buffer and the Gram into one ``n x n`` buffer.
     """
     design_queries = check_matrix(design_queries, "design queries")
-    _, lambdas, keep = _validated_lambdas(squared_weights, design_queries.shape[0])
-    weighted = lambdas[keep, None] * design_queries[keep]
-
-    rows = [weighted]
-    completion_rows = 0
+    squared_weights, lambdas, keep = _validated_lambdas(
+        squared_weights, design_queries.shape[0]
+    )
+    kept = np.flatnonzero(keep)
+    columns = np.empty(0, dtype=int)
+    heights = np.empty(0)
     if complete:
-        deficit_sq, needs = _completion_deficit(np.sum(weighted * weighted, axis=0))
-        completion_rows = int(np.sum(needs))
-        if completion_rows:
-            extra = np.zeros((completion_rows, design_queries.shape[1]))
-            extra[np.arange(completion_rows), np.flatnonzero(needs)] = np.sqrt(deficit_sq[needs])
-            rows.append(extra)
-    strategy = Strategy(np.vstack(rows), name=name)
-    return strategy, lambdas, completion_rows
+        deficit_sq, needs = _completion_deficit(
+            np.einsum(
+                "i,ij,ij->j", np.where(keep, squared_weights, 0.0), design_queries, design_queries
+            )
+        )
+        columns = np.flatnonzero(needs)
+        heights = np.sqrt(deficit_sq[needs])
+    matrix = np.zeros((kept.size + columns.size, design_queries.shape[1]))
+    weighted = matrix[: kept.size]
+    # "clip" writes straight into the buffer; the default mode would stage a
+    # k x n copy first.
+    np.take(design_queries, kept, axis=0, out=weighted, mode="clip")
+    weighted *= lambdas[kept, None]
+    matrix[kept.size + np.arange(columns.size), columns] = heights
+    gram = gram_product(weighted)
+    gram[columns, columns] += heights**2
+    strategy = Strategy(matrix, gram=gram, name=name)
+    return strategy, lambdas, int(columns.size)
 
 
 def build_factorized_weighted_strategy(

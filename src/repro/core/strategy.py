@@ -10,9 +10,10 @@ through ``A^T A`` and its L2 sensitivity, so operator-backed strategies run
 the whole analysis pipeline; running the mechanism on real data still
 requires an explicit strategy.
 
-Spectral quantities (``rank``, ``sensitivity_l2``) and ``sensitivity_l1``
-are cached: the first access pays for an ``eigvalsh``/diagonal/column-sum
-computation and every later access is free.
+Spectral quantities (``rank``, ``sensitivity_l2``), ``sensitivity_l1`` and
+the Gram's rank-checked Cholesky factor (``normal_factor``) are cached: the
+first access pays for an ``eigvalsh``/diagonal/column-sum/Cholesky
+computation and every later access is free.  Pickling drops the factor.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import MaterializationError, StrategyError
-from repro.utils.linalg import kron_all, symmetrize
+from repro.utils.linalg import (
+    _spectral_pseudo_inverse,
+    gram_product,
+    kron_all,
+    rank_checked_cholesky,
+    symmetrize,
+)
 from repro.utils.operators import (
     HARD_MATERIALIZATION_LIMIT,
     SPECTRUM_CUTOFF,
@@ -60,7 +67,7 @@ class Strategy(StructuredGramMixin):
             gram = check_matrix(gram, "gram matrix")
             if gram.shape[0] != gram.shape[1]:
                 raise StrategyError(f"gram matrix must be square, got {gram.shape}")
-            self._gram = symmetrize(gram)
+            self._gram = gram if np.array_equal(gram, gram.T) else symmetrize(gram)
         self._gram_op = gram_operator
         if self._gram_op is not None and self._gram_op.shape[0] != self._gram_op.shape[1]:
             raise StrategyError(f"gram operator must be square, got {self._gram_op.shape}")
@@ -88,6 +95,15 @@ class Strategy(StructuredGramMixin):
         self._sensitivity_l2: float | None = None
         self._sensitivity_l1: float | None = None
         self._rank: int | None = None
+        # The Gram's upper Cholesky factor; False when the Gram is singular.
+        self._normal_factor: np.ndarray | bool | None = None
+
+    def __getstate__(self) -> dict:
+        """Pickle without the Cholesky factor: stored plans, stored releases
+        and worker payloads stay their size, and the receiver refactors."""
+        state = self.__dict__.copy()
+        state["_normal_factor"] = None
+        return state
 
     # ----------------------------------------------------------- constructors
     @classmethod
@@ -192,7 +208,7 @@ class Strategy(StructuredGramMixin):
         """
         if self._gram is None:
             if self._matrix is not None:
-                self._gram = symmetrize(self._matrix.T @ self._matrix)
+                self._gram = gram_product(self._matrix)
             else:
                 self._gram = self._densify_structured_gram()
         return self._gram
@@ -284,6 +300,20 @@ class Strategy(StructuredGramMixin):
         return self._rank
 
     @property
+    def normal_factor(self) -> np.ndarray | bool:
+        """The upper Cholesky factor ``U`` of the Gram (``U^T U = A^T A``).
+
+        ``False`` when the Gram is numerically singular, by the test of
+        :func:`~repro.utils.linalg.rank_checked_cholesky`.  Computed once
+        and cached: candidate pricing and the Gaussian release of the matrix
+        mechanism share this one factor.
+        """
+        if self._normal_factor is None:
+            factor = rank_checked_cholesky(self.gram)
+            self._normal_factor = False if factor is None else factor
+        return self._normal_factor
+
+    @property
     def is_full_rank(self) -> bool:
         """True when the strategy determines every cell count."""
         return self.rank == self.column_count
@@ -311,17 +341,12 @@ class Strategy(StructuredGramMixin):
 
     def supports(self, workload_gram: np.ndarray, tolerance: float = 1e-6) -> bool:
         """Return True when the workload row space lies in the strategy row space."""
-        import scipy.linalg
-
-        from repro.utils.linalg import _spectral_pseudo_inverse
-
-        # Fast path: a positive-definite Gram matrix means the strategy has
-        # full rank and therefore supports every workload.
-        try:
-            scipy.linalg.cho_factor(self.gram, check_finite=False)
+        # Fast path: a full-rank strategy supports every workload.  This
+        # factors the Gram itself instead of reading ``normal_factor``:
+        # skipping the work here moves GIL contention onto the free answers
+        # of concurrent tenants (ROADMAP item 4(d)).
+        if rank_checked_cholesky(self.gram) is not None:
             return True
-        except scipy.linalg.LinAlgError:
-            pass
         workload_gram = symmetrize(np.asarray(workload_gram, dtype=float))
         _, projector = _spectral_pseudo_inverse(self.gram)
         residual = workload_gram - projector @ workload_gram @ projector

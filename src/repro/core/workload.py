@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.domain.domain import Domain
 from repro.exceptions import MaterializationError, WorkloadError
-from repro.utils.linalg import kron_all, symmetrize
+from repro.utils.linalg import gram_product, kron_all, symmetrize
 from repro.utils.operators import (
     HARD_MATERIALIZATION_LIMIT,
     KroneckerEigenbasis,
@@ -264,7 +264,7 @@ class Workload(StructuredGramMixin):
         """
         if self._gram is None:
             if self._matrix is not None:
-                self._gram = symmetrize(self._matrix.T @ self._matrix)
+                self._gram = gram_product(self._matrix)
             else:
                 self._gram = self._densify_structured_gram()
         return self._gram

@@ -10,7 +10,13 @@ optimizer / executor split.  Given a workload and a privacy regime it
    workload-as-strategy and identity baselines, and optionally the direct
    Gaussian/Laplace mechanisms;
 3. **cost-ranks** them by closed-form expected workload error (Prop. 4 /
-   Sec. 3.5) and returns the winner wrapped in a :class:`Plan`.
+   Sec. 3.5) and returns the winner wrapped in a :class:`Plan`.  Candidates
+   within :data:`TIE_TOLERANCE` of the best error tie, and the tie goes to
+   the strategy with fewer rows.
+
+The two baselines need no Gram and no factor: the identity's error trace
+is ``trace(W^T W)`` at sensitivity 1, and the workload-as-strategy's is
+``rank(W^T W)`` at the workload's own sensitivity.
 
 Strategy optimization is the expensive step, so plans are memoised in a
 content-addressed :class:`~repro.engine.cache.PlanCache`: workloads are keyed
@@ -28,6 +34,7 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -60,6 +67,10 @@ __all__ = [
 #: rescale to the request's parameters instead of recomputing traces.
 REFERENCE_PRIVACY = PrivacyParams(epsilon=1.0, delta=1e-4)
 REFERENCE_PRIVACY_PURE = PrivacyParams(epsilon=1.0, delta=0.0)
+
+#: Candidate errors within this relative distance of the best one tie; the
+#: tie goes to the strategy with fewer rows, so rounding never decides.
+TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -152,6 +163,30 @@ def _noise_factor(params: PrivacyParams, regime: str) -> float:
     if regime == "gaussian":
         return float(np.sqrt(params.variance_factor))
     return 1.0 / params.epsilon
+
+
+def _closed_form_error(core: float, queries: int, params: PrivacyParams) -> float:
+    """Def. 5 RMSE from a Prop. 4 core ``sensitivity^2 * trace``.
+
+    Gaussian noise has variance ``P(epsilon, delta)`` per unit sensitivity
+    squared; Laplace noise (Sec. 3.5) ``2 / epsilon^2``.
+    """
+    if params.is_approximate:
+        variance = params.variance_factor
+    else:
+        variance = 2.0 / params.epsilon**2
+    return float(np.sqrt(variance * core / queries))
+
+
+def _strategy_rows(mechanism: Mechanism, workload: Workload) -> float:
+    """Rows of noisy measurements a mechanism releases (the tie-break key)."""
+    strategy = getattr(mechanism, "strategy", None)
+    if strategy is None:
+        return workload.query_count  # direct noise on every workload answer
+    try:
+        return strategy.query_count
+    except MaterializationError:
+        return float("inf")  # Gram-implicit: no explicit rows
 
 
 @dataclass
@@ -317,28 +352,47 @@ class Planner:
     # ------------------------------------------------------------- candidates
     def _candidate_mechanisms(
         self, workload: Workload, params: PrivacyParams
-    ) -> list[tuple[Mechanism, str]]:
-        candidates: list[tuple[Mechanism, str]] = []
+    ) -> list[tuple[Mechanism | None, str, Callable[[], float] | None]]:
+        """``(mechanism, note, core)`` for every candidate.
+
+        ``core`` computes the Prop. 4 product ``sensitivity^2 * trace`` when
+        it has a closed form (the two baselines); ``None`` means the
+        mechanism prices itself.
+        """
+        candidates: list[tuple[Mechanism | None, str, Callable[[], float] | None]] = []
         try:
             design = eigen_design(workload, **self.design_options)
             candidates.append(
-                (StrategyMechanism(design.strategy), f"Program 2 ({design.method})")
+                (StrategyMechanism(design.strategy), f"Program 2 ({design.method})", None)
             )
         except (OptimizationError, MaterializationError, SingularStrategyError) as error:
-            candidates.append((None, f"eigen-design failed: {error}"))
+            candidates.append((None, f"eigen-design failed: {error}", None))
         if self.include_baselines:
             if workload.has_matrix:
+                # trace(W^T W (W^T W)^+) is the rank of W^T W, read off the
+                # spectrum the eigen design already computed.
+                def workload_core() -> float:
+                    if params.is_approximate:
+                        return workload.sensitivity_l2**2 * workload.rank
+                    return workload.sensitivity_l1**2 * workload.rank
+
                 candidates.append(
                     (
                         StrategyMechanism(
                             Strategy(workload.matrix, name=f"workload({workload.name or 'W'})")
                         ),
                         "workload as its own strategy",
+                        workload_core,
                     )
                 )
             if within_materialization_budget(workload.column_count, workload.column_count):
+                # Sensitivity 1 and trace(W^T W): the workload Gram's diagonal.
                 candidates.append(
-                    (StrategyMechanism(Strategy.identity(workload.column_count)), "identity baseline")
+                    (
+                        StrategyMechanism(Strategy.identity(workload.column_count)),
+                        "identity baseline",
+                        lambda: float(np.sum(workload._gram_diagonal())),
+                    )
                 )
         if not self.require_estimate:
             # One direct baseline per regime, matching the regime's noise law:
@@ -347,9 +401,11 @@ class Planner:
             # error scales as 1/epsilon independent of delta — the rescaling
             # and the cached ranking would both be wrong for it).
             if params.is_approximate:
-                candidates.append((DirectMechanism("gaussian"), "independent Gaussian noise"))
+                candidates.append(
+                    (DirectMechanism("gaussian"), "independent Gaussian noise", None)
+                )
             else:
-                candidates.append((DirectMechanism("laplace"), "independent Laplace noise"))
+                candidates.append((DirectMechanism("laplace"), "independent Laplace noise", None))
         return candidates
 
     # ------------------------------------------------------------------ plan
@@ -446,8 +502,8 @@ class Planner:
         reference = REFERENCE_PRIVACY if regime == "gaussian" else REFERENCE_PRIVACY_PURE
         profile = analyze_workload(workload)
         scored: list[PlanCandidate] = []
-        runnable: list[tuple[float, Mechanism]] = []
-        for mechanism, note in self._candidate_mechanisms(workload, params):
+        runnable: list[tuple[float, float, PlanCandidate, Mechanism]] = []
+        for mechanism, note, core in self._candidate_mechanisms(workload, params):
             if mechanism is None:
                 scored.append(PlanCandidate("(skipped)", float("inf"), note=note))
                 continue
@@ -457,25 +513,30 @@ class Planner:
                 )
                 continue
             try:
-                error = float(mechanism.expected_error(workload, reference))
+                if core is None:
+                    error = float(mechanism.expected_error(workload, reference))
+                else:
+                    error = _closed_form_error(core(), workload.query_count, reference)
             except (SingularStrategyError, MaterializationError, OptimizationError) as err:
                 scored.append(
                     PlanCandidate(mechanism.name, float("inf"), note=f"{note}; {err}")
                 )
                 continue
-            scored.append(PlanCandidate(mechanism.name, error, note=note))
-            runnable.append((error, mechanism))
+            candidate = PlanCandidate(mechanism.name, error, note=note)
+            scored.append(candidate)
+            runnable.append((error, _strategy_rows(mechanism, workload), candidate, mechanism))
         if not runnable:
             raise ReproError(
                 f"no mechanism can answer workload {workload.name!r} under the "
                 f"{regime} regime; candidates: "
                 + "; ".join(f"{c.mechanism}: {c.note}" for c in scored)
             )
-        best_error, best = min(runnable, key=lambda pair: pair[0])
-        for candidate in scored:
-            candidate.chosen = candidate.mechanism == best.name and (
-                candidate.expected_error == best_error
-            )
+        lowest = min(error for error, *_ in runnable)
+        best_error, _, chosen, best = min(
+            (entry for entry in runnable if entry[0] <= lowest * (1.0 + TIE_TOLERANCE)),
+            key=lambda entry: entry[1],
+        )
+        chosen.chosen = True
         return Plan(
             mechanism=best,
             profile=profile,

@@ -19,15 +19,19 @@ from repro.utils.validation import check_matrix, check_vector
 __all__ = ["least_squares_estimate", "nonnegative_least_squares_estimate"]
 
 
-def least_squares_estimate(strategy_matrix: np.ndarray, noisy_answers: np.ndarray) -> np.ndarray:
+def least_squares_estimate(
+    strategy_matrix: np.ndarray, noisy_answers: np.ndarray, *, rcond: float | None = None
+) -> np.ndarray:
     """Return the ordinary-least-squares estimate of the data vector.
 
     Solves the normal equations through a rank-revealing ``lstsq`` so both
-    full-rank and rank-deficient strategies are handled.
+    full-rank and rank-deficient strategies are handled.  Singular values
+    below ``rcond`` times the largest count as zero (``None``: ``lstsq``'s
+    machine-precision default).
     """
     matrix = check_matrix(strategy_matrix, "strategy matrix")
     answers = check_vector(noisy_answers, "noisy answers", matrix.shape[0])
-    estimate, _, rank, _ = np.linalg.lstsq(matrix, answers, rcond=None)
+    estimate, _, rank, _ = np.linalg.lstsq(matrix, answers, rcond=rcond)
     if rank == 0:
         raise StrategyError("the strategy matrix is identically zero")
     return estimate

@@ -43,6 +43,7 @@ from repro.exceptions import SingularStrategyError
 from repro.mechanisms.gaussian import max_column_norm
 from repro.mechanisms.inference import least_squares_estimate, nonnegative_least_squares_estimate
 from repro.mechanisms.laplace_matrix import expected_workload_error_l1
+from repro.utils.linalg import PSEUDO_INVERSE_CUTOFF
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_matrix, check_vector
 
@@ -122,16 +123,12 @@ class MatrixMechanism:
         ``U^T U = A^T A`` for the upper Cholesky factor ``U``, so ``U``'s
         column norms are ``A``'s and ``U^{-1}(U x + sigma z)`` has the same
         distribution as the least-squares estimate from ``A x + sigma z``.
-        Rank-deficient strategies (no factor) and nonnegative inference
-        measure ``A``.
+        ``U`` is the strategy's own cached ``normal_factor``, the one
+        candidate pricing used.  Rank-deficient strategies (no factor) and
+        nonnegative inference measure ``A``.
         """
         if self._normal_factor is None:
-            factor = False
-            if not self.nonnegative:
-                try:
-                    factor = scipy.linalg.cholesky(self.strategy.gram, check_finite=False)
-                except scipy.linalg.LinAlgError:
-                    pass
+            factor = False if self.nonnegative else self.strategy.normal_factor
             # The exact sensitivity of the map released.
             released = self.strategy.matrix if factor is False else factor
             self._column_norm = max_column_norm(released)
@@ -183,6 +180,14 @@ class MatrixMechanism:
             noisy = matrix @ data + draw(0.0, scale, size=matrix.shape[0])
             if self.nonnegative:
                 estimate = nonnegative_least_squares_estimate(matrix, noisy)
+            elif self.strategy.normal_factor is False:
+                # Invert on the row space the price assumed: singular values
+                # whose squares fall below the pseudo-inverse cutoff are zero.
+                # lstsq's own cutoff would amplify noise along near-null
+                # directions of a numerically singular strategy.
+                estimate = least_squares_estimate(
+                    matrix, noisy, rcond=np.sqrt(PSEUDO_INVERSE_CUTOFF)
+                )
             else:
                 estimate = least_squares_estimate(matrix, noisy)
         # answer() serves explicit matrices and factored row operators alike,

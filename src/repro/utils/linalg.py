@@ -27,11 +27,15 @@ from repro.exceptions import SingularStrategyError
 
 __all__ = [
     "symmetrize",
+    "gram_product",
     "max_column_norm",
     "trace_product",
     "trace_ratio",
+    "pseudo_inverse_trace",
+    "rank_checked_cholesky",
     "solve_psd",
     "psd_solver",
+    "factor_solver",
     "pcg_solve",
     "DeflationSpace",
     "hutchpp_trace",
@@ -44,6 +48,11 @@ __all__ = [
 
 #: Relative tolerance used to decide whether an eigenvalue is zero.
 EIGENVALUE_TOLERANCE = 1e-10
+
+#: Gram eigenvalues below this fraction of the largest count as zero in every
+#: pseudo-inverse: the pricing of singular strategies and the least-squares
+#: release that must deliver that price.
+PSEUDO_INVERSE_CUTOFF = 1e-9
 
 
 def symmetrize(matrix: np.ndarray) -> np.ndarray:
@@ -65,6 +74,23 @@ def symmetrize(matrix: np.ndarray) -> np.ndarray:
     """
     matrix = np.asarray(matrix, dtype=float)
     return (matrix + matrix.T) / 2.0
+
+
+def gram_product(matrix: np.ndarray) -> np.ndarray:
+    """Return the Gram ``matrix^T matrix`` of an ``(m, n)`` query matrix.
+
+    On one contiguous buffer numpy evaluates ``X^T X`` with a BLAS ``syrk``,
+    which computes one triangle and mirrors it: half the flops of a general
+    product, and exactly symmetric, so no :func:`symmetrize` pass follows.
+
+    Examples
+    --------
+    >>> gram_product(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    array([[1., 2.],
+           [2., 5.]])
+    """
+    matrix = np.ascontiguousarray(matrix, dtype=float)
+    return matrix.T @ matrix
 
 
 def max_column_norm(matrix: np.ndarray) -> float:
@@ -105,7 +131,9 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b.T))
 
 
-def _spectral_pseudo_inverse(gram: np.ndarray, relative_cutoff: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def _spectral_pseudo_inverse(
+    gram: np.ndarray, relative_cutoff: float = PSEUDO_INVERSE_CUTOFF
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a PSD matrix and return ``(pseudo_inverse, projector)``.
 
     Eigenvalues below ``relative_cutoff`` times the largest eigenvalue are
@@ -126,12 +154,52 @@ def _spectral_pseudo_inverse(gram: np.ndarray, relative_cutoff: float = 1e-9) ->
     return inverse, projector
 
 
+def rank_checked_cholesky(gram: np.ndarray) -> np.ndarray | None:
+    """The upper Cholesky factor ``U`` of a PSD ``gram`` (``U^T U = gram``), or ``None``.
+
+    ``None`` means ``gram`` is numerically singular.  A successful Cholesky
+    alone does not prove full rank: a rank-deficient Gram can factor with
+    pivots at rounding level.  So the factor must also pass LAPACK
+    ``dpocon``'s reciprocal condition estimate, which has to exceed
+    ``n * eps`` — the relative cutoff
+    :attr:`repro.core.strategy.Strategy.rank` applies to eigenvalues.  This
+    is the one place the package Cholesky-factors a Gram; every full-rank
+    test and solve goes through it.
+
+    Parameters
+    ----------
+    gram:
+        Symmetric PSD ``(n, n)`` matrix; only its upper triangle is
+        factored.  Cost: one ``O(n^3)`` factorization plus an ``O(n^2)``
+        condition estimate.
+
+    Examples
+    --------
+    >>> rank_checked_cholesky(4.0 * np.eye(2))
+    array([[2., 0.],
+           [0., 2.]])
+    >>> rank_checked_cholesky(np.ones((2, 2))) is None
+    True
+    """
+    gram = np.asarray(gram, dtype=float)
+    try:
+        factor = scipy.linalg.cholesky(gram, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        return None
+    # numpy's norm, not LAPACK dlange: dlange holds the GIL, which stalls
+    # concurrent requests for the length of the pass.
+    rcond, info = scipy.linalg.lapack.dpocon(factor, np.linalg.norm(gram, 1))
+    if info != 0 or not rcond > gram.shape[0] * np.finfo(float).eps:
+        return None
+    return factor
+
+
 def solve_psd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``gram @ X = rhs`` for a symmetric PSD ``gram``.
 
-    Uses a Cholesky factorization when the matrix is positive definite and
-    falls back to a rank-truncated pseudo-inverse for (numerically) singular
-    matrices.
+    Uses a Cholesky factorization when the matrix has full rank (see
+    :func:`rank_checked_cholesky`) and falls back to a rank-truncated
+    pseudo-inverse for (numerically) singular matrices.
 
     Parameters
     ----------
@@ -146,21 +214,16 @@ def solve_psd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     >>> solve_psd(2.0 * np.eye(2), np.array([2.0, 4.0]))
     array([1., 2.])
     """
-    gram = symmetrize(gram)
-    try:
-        factor = scipy.linalg.cho_factor(gram, check_finite=False)
-        return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        inverse, _ = _spectral_pseudo_inverse(gram)
-        return inverse @ rhs
+    return psd_solver(gram)(rhs)
 
 
 def psd_solver(gram: np.ndarray):
     """Return a reusable ``rhs -> gram^{-1} rhs`` closure for a PSD ``gram``.
 
-    Factorizes once (Cholesky, or the rank-truncated spectral pseudo-inverse
-    for singular matrices) so repeated right-hand sides — e.g. the query
-    blocks of :func:`repro.core.error.per_query_error` — do not refactorize.
+    Factorizes once (the rank-checked Cholesky, or the rank-truncated
+    spectral pseudo-inverse for singular matrices) so repeated right-hand
+    sides — e.g. the query blocks of
+    :func:`repro.core.error.per_query_error` — do not refactorize.
 
     Parameters
     ----------
@@ -175,12 +238,20 @@ def psd_solver(gram: np.ndarray):
     array([1., 2.])
     """
     gram = symmetrize(gram)
-    try:
-        factor = scipy.linalg.cho_factor(gram, check_finite=False)
-    except scipy.linalg.LinAlgError:
+    return factor_solver(rank_checked_cholesky(gram), gram)
+
+
+def factor_solver(factor: np.ndarray | None, gram: np.ndarray):
+    """``rhs -> gram^{-1} rhs`` from ``gram``'s rank-checked Cholesky ``factor``.
+
+    ``factor`` is :func:`rank_checked_cholesky`'s result for ``gram``; when
+    it is ``None`` the solve applies the rank-truncated spectral
+    pseudo-inverse of ``gram`` instead.
+    """
+    if factor is None:
         inverse, _ = _spectral_pseudo_inverse(gram)
         return lambda rhs: inverse @ rhs
-    return lambda rhs: scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    return lambda rhs: scipy.linalg.cho_solve((factor, False), rhs, check_finite=False)
 
 
 class DeflationSpace:
@@ -533,16 +604,22 @@ def trace_ratio(workload_gram: np.ndarray, strategy_gram: np.ndarray) -> float:
     >>> round(trace_ratio(np.eye(2), 2.0 * np.eye(2)), 12)
     1.0
     """
-    workload_gram = symmetrize(workload_gram)
     strategy_gram = symmetrize(strategy_gram)
-    try:
-        factor = scipy.linalg.cho_factor(strategy_gram, check_finite=False)
-        solved = scipy.linalg.cho_solve(factor, workload_gram, check_finite=False)
+    factor = rank_checked_cholesky(strategy_gram)
+    if factor is not None:
+        solved = scipy.linalg.cho_solve((factor, False), workload_gram, check_finite=False)
         return float(np.trace(solved))
-    except scipy.linalg.LinAlgError:
-        pass
-    # Singular strategy: invert on its (numerical) row space and verify that
-    # the workload lies inside that row space.
+    return pseudo_inverse_trace(workload_gram, strategy_gram)
+
+
+def pseudo_inverse_trace(workload_gram: np.ndarray, strategy_gram: np.ndarray) -> float:
+    """:func:`trace_ratio` for a singular ``strategy_gram``, with its support check.
+
+    Inverts the strategy Gram on its (numerical) row space and verifies
+    that the workload lies inside that row space, raising
+    :class:`~repro.exceptions.SingularStrategyError` otherwise.
+    """
+    workload_gram = symmetrize(workload_gram)
     inverse, projector = _spectral_pseudo_inverse(strategy_gram)
     residual = workload_gram - projector @ workload_gram @ projector
     scale = max(np.abs(workload_gram).max(), 1.0)

@@ -407,9 +407,11 @@ class TestSession:
                     "t", workload, epsilon=epsilon, delta=delta, data=np.arange(16.0)
                 )
                 assert answer.plan is plan and answer.spent == PrivacyParams(epsilon, delta)
-        # One Cholesky for the cached factor, one inside the support check
-        # that runs once per workload; one mechanism per setting made 8 of each.
-        assert calls == {"cholesky": 1, "cho_factor": 1, "max_column_norm": 1, "supports": 1}
+        # Pricing the plan already factored the chosen strategy, and the
+        # mechanism reuses that factor: the only Cholesky left is the support
+        # check's own, once per workload.  One mechanism per setting would
+        # make 8 of each.
+        assert calls == {"cholesky": 1, "cho_factor": 0, "max_column_norm": 1, "supports": 1}
         matrix = plan.mechanism.strategy.matrix
         column_norm = max(
             np.sqrt(sum(row[j] ** 2 for row in matrix.tolist())) for j in range(16)

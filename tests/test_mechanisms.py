@@ -268,9 +268,9 @@ class TestMatrixMechanismPlanConstants:
         workload = Workload(np.array([[1.0, 1, 1, 1, 1, 1, 1, 1]]))
         calls = []
 
-        def counted(matrix, noisy):
+        def counted(matrix, noisy, **options):
             calls.append(matrix.shape)
-            return least_squares_estimate(matrix, noisy)
+            return least_squares_estimate(matrix, noisy, **options)
 
         monkeypatch.setattr(matrix_module, "least_squares_estimate", counted)
         mechanism = MatrixMechanism(strategy, privacy)

@@ -45,6 +45,7 @@ class TestFramework:
             "budget-flow",
             "lock-discipline",
             "no-densify",
+            "one-factor",
             "worker-purity",
         )
         for checker in ALL_CHECKERS:
@@ -411,6 +412,80 @@ class TestNoDensify:
         )
         flagged = hits(findings, "no-densify")
         assert [finding.line for finding in flagged] == [6, 7]
+
+
+# ---------------------------------------------------------------- OneFactor
+class TestOneFactor:
+    def test_bare_cholesky_outside_the_helper_is_flagged(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "src/repro/core/error.py": """\
+                import numpy as np
+                import scipy.linalg
+                from scipy.linalg import cho_factor
+
+                def price(gram, rhs):
+                    factor = scipy.linalg.cholesky(gram)
+                    lower = np.linalg.cholesky(gram)
+                    return cho_factor(gram), factor, lower
+                """
+            },
+        )
+        flagged = hits(findings, "one-factor")
+        assert [finding.line for finding in flagged] == [6, 7, 8]
+
+    def test_the_helper_and_the_newton_solver_are_allowed(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "src/repro/utils/linalg.py": """\
+                import scipy.linalg
+
+                def rank_checked_cholesky(gram):
+                    return scipy.linalg.cholesky(gram)
+                """,
+                "src/repro/optimize/dual_newton.py": """\
+                import scipy.linalg
+
+                def newton_step(hessian, gradient):
+                    return scipy.linalg.cho_factor(hessian)
+                """,
+            },
+        )
+        assert hits(findings, "one-factor") == []
+
+    def test_another_function_in_the_helper_module_is_flagged(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "src/repro/utils/linalg.py": """\
+                import scipy.linalg
+
+                def solve(gram, rhs):
+                    return scipy.linalg.cho_factor(gram)
+                """
+            },
+        )
+        assert [finding.line for finding in hits(findings, "one-factor")] == [4]
+
+    def test_mutated_support_check_is_flagged(self, tmp_path):
+        """Mutate the real strategy: factor the Gram directly in the support check."""
+        source = (ROOT / "src" / "repro" / "core" / "strategy.py").read_text()
+        mutated, count = re.subn(
+            r"rank_checked_cholesky\(self\.gram\) is not None:",
+            "scipy.linalg.cho_factor(self.gram) is not None:",
+            source,
+            count=1,
+        )
+        assert count == 1
+        findings = lint_tree(
+            tmp_path, {"src/repro/core/strategy.py": mutated}, rules=["one-factor"]
+        )
+        flagged = hits(findings, "one-factor")
+        assert len(flagged) == 1
+        line = mutated.splitlines()[flagged[0].line - 1]
+        assert "scipy.linalg.cho_factor(self.gram)" in line
 
 
 # ------------------------------------------------------- manifest <-> source

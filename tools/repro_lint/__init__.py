@@ -1,6 +1,6 @@
 """repro-lint: AST enforcement of the engine's documented invariants.
 
-Four checkers, each the mechanical form of one architecture-doc rule:
+Five checkers, each the mechanical form of one architecture-doc rule:
 
 ========================  ====================================================
 ``lock-discipline``       manifest-registered shared state is written under
@@ -11,6 +11,8 @@ Four checkers, each the mechanical form of one architecture-doc rule:
                           write-ahead ledger record precedes the draw (§8)
 ``no-densify``            operators densify only at budget-consulting
                           dispatch sites (§3)
+``one-factor``            a Gram is Cholesky-factored only by the one
+                          rank-checked helper (§5)
 ========================  ====================================================
 
 See ``docs/linting.md`` for the rule catalog and pragma syntax.
@@ -32,15 +34,17 @@ from .budget_flow import BudgetFlowChecker
 from .lock_discipline import LockDisciplineChecker
 from .manifest import LOCK_MANIFEST, LockRule, checkable_rules, render_lock_table
 from .no_densify import NoDensifyChecker
+from .one_factor import OneFactorChecker
 from .worker_purity import WorkerPurityChecker
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 #: The default checker battery, in rule-id order.
 ALL_CHECKERS: tuple[Checker, ...] = (
     BudgetFlowChecker(),
     LockDisciplineChecker(),
     NoDensifyChecker(),
+    OneFactorChecker(),
     WorkerPurityChecker(),
 )
 
