@@ -74,9 +74,10 @@ COMPLETED_CASES_QUICK = (((8, 8, 8), 16),)
 #: assertion below).  The factorized path's headline win is
 #: memory/feasibility (no dense eigen-query matrix, no O(n^3) eigh; beyond
 #: the budget it is the *only* path, tested in
-#: tests/test_woodbury_completion.py) — but since the batched dual-ascent
-#: solver and the under-budget slice densification landed it also wins
-#: wall-clock at dense-feasible sizes, and the rows assert it stays that way.
+#: tests/test_woodbury_completion.py) — but with the under-budget slice
+#: densification (each stage solve runs on a small dense matrix instead of
+#: one ``kron_apply`` per step) it also wins wall-clock at dense-feasible
+#: sizes, and the rows assert it stays that way.
 REDUCTION_DENSE_SHAPE = (16, 16, 8)
 
 #: Recycled-trace shapes: the stochastic completed-design trace evaluated
@@ -449,7 +450,7 @@ def test_kron_fastpath_speedup():
             assert row["relative_trace_deviation"] <= 1e-6
         # The factorized path must beat (or at worst match) the dense path
         # even at dense-feasible sizes — the small-domain regression the
-        # batched solver work retired must stay retired.
+        # slice densification retired must stay retired.
         assert row["speedup"] >= 1.0, f"{row['method']}: {row['speedup']:.3f}x"
     for row in report["recycled_trace"]["rows"]:
         # The recycled second evaluation must use measurably fewer PCG

@@ -1,9 +1,9 @@
-"""A1 — ablation: weighting-solver backends (not in the paper).
+"""A1 — ablation: the weighting solver against an SLSQP oracle (not in the paper).
 
 DESIGN.md substitutes the paper's commercial SDP solver (cvxopt/DSDP) with
-custom dual solvers; this benchmark verifies the substitution by comparing the
-backends' solution quality and speed on the eigen-design weighting problem for
-a representative workload, and times the end-to-end eigen design.
+L-BFGS-B on the dual of Program 1; this benchmark verifies the substitution by
+comparing its solution quality and speed with SLSQP on the primal, on the
+eigen-design weighting problem for a representative workload.
 """
 
 from __future__ import annotations
@@ -14,15 +14,14 @@ import pytest
 
 from repro.core.eigen_design import eigen_queries
 from repro.evaluation import format_table
-from repro.optimize import WeightingProblem, solve_dual_ascent, solve_dual_newton, solve_scipy
+from repro.optimize import WeightingProblem, solve_scipy, solve_weighting
 from repro.workloads import all_range_queries_1d
 
 from _util import PAPER_SCALE, emit
 
 CELLS = 512 if PAPER_SCALE else 128
 BACKENDS = {
-    "dual-ascent": solve_dual_ascent,
-    "dual-newton": solve_dual_newton,
+    "l-bfgs-b": solve_weighting,
     "scipy-slsqp": solve_scipy,
 }
 
@@ -64,14 +63,15 @@ def test_solver_ablation_summary(benchmark, problem):
         format_table(
             rows,
             precision=4,
-            title=f"A1: weighting-solver backends on the all-range[{CELLS}] eigen problem",
+            title=f"A1: weighting solver vs SLSQP on the all-range[{CELLS}] eigen problem",
         ),
     )
-    # The custom dual solvers must agree tightly; the SLSQP reference is only
+    # The dual solver must certify its optimum; the SLSQP reference is only
     # required to agree when it converges (it is documented as a small-problem
     # reference and stalls on larger instances).
+    dual = rows[0]
+    assert dual["converged"] and dual["relative gap"] <= 1e-6
     converged = [row["objective"] for row in rows if row["converged"]]
-    assert len(converged) >= 2
     assert max(converged) <= min(converged) * 1.01
     best = min(row["objective"] for row in rows)
     for row in rows:

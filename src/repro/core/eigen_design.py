@@ -146,7 +146,6 @@ def factorized_eigen_queries(
 def eigen_design(
     workload: Workload,
     *,
-    solver: str = "auto",
     complete: bool = True,
     factorized: bool | None = None,
     **solver_options,
@@ -158,9 +157,6 @@ def eigen_design(
     workload:
         The workload to optimise for; may be explicit, Gram-implicit, or a
         structured Kronecker product.
-    solver:
-        Weighting-solver backend (``"auto"``, ``"dual-newton"``,
-        ``"dual-ascent"`` or ``"scipy"``).
     complete:
         Whether to append the sensitivity-completion rows (steps 4-5); the
         completion never hurts expected error.
@@ -174,7 +170,8 @@ def eigen_design(
         would blow the materialization budget; ``True`` forces it (useful for
         cross-checking against the dense oracle on small domains).
     solver_options:
-        Forwarded to the solver (e.g. ``tolerance=1e-8``).
+        Forwarded to :func:`~repro.optimize.solve_weighting` (e.g.
+        ``tolerance=1e-8``).
 
     Notes
     -----
@@ -188,13 +185,11 @@ def eigen_design(
     if factorized is None:
         factorized = prefer_factorized(workload)
     if factorized:
-        return _factorized_eigen_design(
-            workload, solver=solver, complete=complete, **solver_options
-        )
+        return _factorized_eigen_design(workload, complete=complete, **solver_options)
     values, queries = eigen_queries(workload)
     # For an orthonormal design set the Thm. 1 costs are exactly the eigenvalues.
     problem = WeightingProblem(costs=values, constraints=(queries ** 2).T)
-    solution = solve_weighting(problem, solver=solver, **solver_options)
+    solution = solve_weighting(problem, **solver_options)
     strategy, lambdas, completion_rows = build_weighted_strategy(
         queries, solution.weights, complete=complete, name="eigen-design"
     )
@@ -212,7 +207,6 @@ def eigen_design(
 def _factorized_eigen_design(
     workload: Workload,
     *,
-    solver: str = "auto",
     complete: bool = True,
     **solver_options,
 ) -> EigenDesignResult:
@@ -228,7 +222,7 @@ def _factorized_eigen_design(
     basis, values, positions = factorized_eigen_queries(workload)
     constraints = KroneckerConstraints(basis, positions)
     problem = WeightingProblem(costs=values, constraints=constraints)
-    solution = solve_weighting(problem, solver=solver, **solver_options)
+    solution = solve_weighting(problem, **solver_options)
     strategy, lambdas, completion_rows = build_factorized_weighted_strategy(
         basis, positions, solution.weights, complete=complete, name="eigen-design"
     )

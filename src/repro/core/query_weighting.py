@@ -213,7 +213,6 @@ def weighted_design_strategy(
     workload: Workload,
     design_queries: np.ndarray,
     *,
-    solver: str = "auto",
     complete: bool = True,
     name: str = "weighted-design",
     **solver_options,
@@ -227,7 +226,7 @@ def weighted_design_strategy(
     costs = design_costs(workload, design_queries)
     constraints = (design_queries ** 2).T
     problem = WeightingProblem(costs=costs, constraints=constraints)
-    solution = solve_weighting(problem, solver=solver, **solver_options)
+    solution = solve_weighting(problem, **solver_options)
     strategy, lambdas, completion_rows = build_weighted_strategy(
         design_queries, solution.weights, complete=complete, name=name
     )

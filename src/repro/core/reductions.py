@@ -41,7 +41,7 @@ from repro.core.query_weighting import (
 )
 from repro.core.workload import Workload
 from repro.exceptions import MaterializationError, OptimizationError
-from repro.optimize import WeightingProblem, solve_weighting, solve_weighting_batch
+from repro.optimize import WeightingProblem, solve_weighting
 from repro.utils.operators import (
     HARD_MATERIALIZATION_LIMIT,
     ColumnBlockConstraints,
@@ -117,7 +117,6 @@ def eigen_query_separation(
     workload: Workload,
     *,
     group_size: int | None = None,
-    solver: str = "auto",
     complete: bool = True,
     factorized: bool | None = None,
     **solver_options,
@@ -163,7 +162,6 @@ def eigen_query_separation(
             "the hard materialization cap; increase group_size or pass "
             "factorized=True for the matrix-free stage 2"
         )
-    group_weights: list[np.ndarray] = []
     scaled_weights: list[np.ndarray] = []
     group_costs = np.zeros(len(groups))
     # Collect the dense stage-2 matrix whenever it fits the budget — on the
@@ -173,18 +171,11 @@ def eigen_query_separation(
     group_columns = None
     if not factorized or within_materialization_budget(workload.column_count, len(groups)):
         group_columns = np.zeros((workload.column_count, len(groups)))
-    # The per-group solves share their constraint rows (one per cell), so
-    # when the slices are dense they run in lockstep as stacked batched-BLAS
-    # contractions instead of one skinny solve at a time.
-    problems = [
-        WeightingProblem(costs=values[indexes], constraints=space.slice_columns(indexes))
-        for indexes in groups
-    ]
-    solutions = solve_weighting_batch(problems, solver=solver, **solver_options)
     iterations = 0
-    for position, (problem, solution) in enumerate(zip(problems, solutions)):
+    for position, indexes in enumerate(groups):
+        problem = WeightingProblem(costs=values[indexes], constraints=space.slice_columns(indexes))
+        solution = solve_weighting(problem, **solver_options)
         iterations += solution.iterations
-        group_weights.append(solution.weights)
         scaled = problem.scale_to_feasible(solution.weights)
         scaled_weights.append(scaled)
         group_costs[position] = problem.objective(scaled)
@@ -209,7 +200,7 @@ def eigen_query_separation(
                 scaled_weights,
             )
         combine_problem = WeightingProblem(costs=group_costs, constraints=stage2_constraints)
-        combine_solution = solve_weighting(combine_problem, solver=solver, **solver_options)
+        combine_solution = solve_weighting(combine_problem, **solver_options)
         iterations += combine_solution.iterations
         combined = combine_solution.weights
 
@@ -242,7 +233,6 @@ def principal_vectors(
     *,
     count: int | None = None,
     fraction: float | None = None,
-    solver: str = "auto",
     complete: bool = True,
     factorized: bool | None = None,
     **solver_options,
@@ -287,12 +277,11 @@ def principal_vectors(
         else:
             # The budget crossover densified the top-column slice, so the
             # whole reduced problem is a small dense matrix — stack it and
-            # let the dense solver stack (including the second-order
-            # fallback) run at BLAS granularity.
+            # let the solver run at BLAS granularity.
             reduced_constraints = np.hstack([top_columns, tail_column])
 
     problem = WeightingProblem(costs=reduced_costs, constraints=reduced_constraints)
-    solution = solve_weighting(problem, solver=solver, **solver_options)
+    solution = solve_weighting(problem, **solver_options)
 
     squared_weights = np.empty(total)
     squared_weights[:count] = solution.weights[:count]

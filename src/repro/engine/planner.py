@@ -108,7 +108,7 @@ def analyze_workload(workload: Workload) -> WorkloadProfile:
 def _digest_array(h, array: np.ndarray) -> None:
     array = np.ascontiguousarray(np.asarray(array, dtype=float))
     h.update(str(array.shape).encode())
-    h.update(array.tobytes())
+    h.update(array)
 
 
 def workload_fingerprint(workload: Workload) -> str | None:
@@ -270,7 +270,7 @@ class Planner:
         as a continuous regression check on the optimizer).
     design_options:
         Extra keyword arguments for :func:`repro.core.eigen_design.eigen_design`
-        (e.g. ``solver="scipy"``, ``factorized=True``).
+        (e.g. ``tolerance=1e-8``, ``factorized=True``).
 
     The planner is safe to share across threads (it is the shared optimizer
     of a :class:`~repro.engine.server.Server`): counters are incremented

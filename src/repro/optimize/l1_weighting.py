@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.optimize.result import WeightingSolution
+from repro.optimize.solver import solve_weighting
 from repro.optimize.weighting_problem import WeightingProblem
 from repro.utils.validation import check_matrix
 
@@ -48,7 +49,5 @@ def solve_l1_weights(
     The returned :class:`WeightingSolution.weights` are the weights
     ``lambda_i`` themselves (not squared).
     """
-    from repro.optimize import solve_weighting
-
     problem = l1_weighting_problem(design_queries, costs)
     return solve_weighting(problem, tolerance=tolerance, max_iterations=max_iterations)

@@ -33,7 +33,7 @@ class WeightingSolution:
     solver:
         Name of the backend that produced this solution.
     diagnostics:
-        Optional free-form extra information (step sizes, line-search counts).
+        Optional free-form extra information (evaluation and restart counts).
     """
 
     weights: np.ndarray

@@ -1,7 +1,7 @@
 """Reference solver built on :func:`scipy.optimize.minimize` (SLSQP).
 
 This backend solves the weighting problem directly in primal form.  It is
-slower than the dual methods and intended for small problems and as an
+slower than the dual solver and intended for small problems and as an
 independent cross-check in the test suite.
 """
 
@@ -34,7 +34,7 @@ def solve_scipy(
         )
     if problem.structured:
         raise OptimizationError(
-            "the scipy backend needs dense constraints; use 'dual-ascent' for "
+            "the scipy backend needs dense constraints; use solve_weighting for "
             "structured constraint operators"
         )
     costs = problem.costs

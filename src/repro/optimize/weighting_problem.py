@@ -48,8 +48,7 @@ class WeightingProblem:
         :class:`~repro.utils.operators.KroneckerConstraints`): any object
         exposing ``shape``, ``matvec``, ``rmatvec``, ``column_maxes``,
         ``column_sums`` and ``row_sums``, with implicitly non-negative
-        entries.  First-order solvers run unchanged on operators; only the
-        dense-Hessian path is unavailable.
+        entries.  The dual solver runs unchanged on operators.
     power:
         Exponent ``p`` of the objective (1 for the L2 problem on squared
         weights, 2 for the L1 variant on raw weights).
@@ -168,15 +167,15 @@ class WeightingProblem:
         return np.full(self.variable_count, 0.9 / top)
 
     def initial_dual(self) -> np.ndarray:
-        """A well-scaled starting point for the dual solvers.
+        """A well-scaled starting point for the dual solver.
 
         A uniform dual ``mu = alpha * 1`` is chosen so that the induced primal
         point ``u(mu)`` sits exactly on the sensitivity boundary
         (``max_j (C u)_j = 1``).  Because ``u(mu)`` scales as
         ``alpha**(-1/(p+1))``, the right ``alpha`` has the closed form
-        ``max_j (C u(1))_j ** (p+1)``.  Starting here keeps both the gradient
-        and the Hessian of the dual on a sane numerical scale regardless of
-        the magnitude of the costs.
+        ``max_j (C u(1))_j ** (p+1)``.  Starting here keeps the gradient of
+        the dual on a sane numerical scale regardless of the magnitude of the
+        costs.
         """
         ones = np.ones(self.constraint_count)
         reference = float(np.max(self._apply(self.primal_from_dual(ones))))
@@ -209,9 +208,8 @@ class WeightingProblem:
         """Return ``(g(mu), u(mu))`` from a single constraint pass.
 
         The dual value and the inner minimiser share the expensive
-        ``C^T mu`` product; solvers that need both (every line-search trial
-        whose accepted point seeds the next gradient step) should call this
-        instead of ``dual_value`` + ``primal_from_dual``.
+        ``C^T mu`` product; the solver, which needs both at every
+        evaluation, calls this instead of ``dual_value`` + ``primal_from_dual``.
         """
         dual = np.asarray(dual, dtype=float)
         linear = self._apply_transpose(dual)
@@ -232,28 +230,6 @@ class WeightingProblem:
         """Gradient of the dual function: ``C u(mu) - 1``."""
         weights = self.primal_from_dual(dual)
         return self._apply(weights) - 1.0
-
-    def dual_hessian(self, dual: np.ndarray) -> np.ndarray:
-        """Hessian of the dual function (negative semidefinite).
-
-        Requires dense constraints: the Hessian is a dense ``k x k`` matrix,
-        which is exactly what the structured fast path avoids building.
-        """
-        if self._structured:
-            raise OptimizationError(
-                "the dual Hessian requires dense constraints; use a first-order "
-                "solver (dual-ascent) for structured constraint operators"
-            )
-        dual = np.asarray(dual, dtype=float)
-        denominator = np.maximum(self.constraints.T @ dual, _DENOMINATOR_FLOOR)
-        weights = self.primal_from_dual(dual)
-        # Variables clipped at their box bound do not respond to the dual, so
-        # they contribute no curvature (and zero-cost variables never do).
-        active = (self.costs > 0) & (weights < self._upper_bounds) & (denominator > _DENOMINATOR_FLOOR)
-        scale = np.zeros_like(weights)
-        np.divide(weights, (self.power + 1.0) * denominator, out=scale, where=active)
-        weighted = self.constraints * scale[None, :]
-        return -(weighted @ self.constraints.T)
 
     # -------------------------------------------------------------- reporting
     def certificate(self, weights: np.ndarray, dual: np.ndarray) -> tuple[float, float, float]:

@@ -10,18 +10,16 @@ from repro.core.workload import Workload
 __all__ = ["eigen_strategy", "eigen_separation_strategy", "principal_vectors_strategy", "singular_value_strategy"]
 
 
-def eigen_strategy(workload: Workload, *, solver: str = "auto", **options) -> Strategy:
+def eigen_strategy(workload: Workload, **options) -> Strategy:
     """The strategy produced by the full Eigen-Design algorithm (Program 2)."""
-    return eigen_design(workload, solver=solver, **options).strategy
+    return eigen_design(workload, **options).strategy
 
 
 def eigen_separation_strategy(
-    workload: Workload, *, group_size: int | None = None, solver: str = "auto", **options
+    workload: Workload, *, group_size: int | None = None, **options
 ) -> Strategy:
     """The strategy produced by the eigen-query separation optimisation."""
-    return eigen_query_separation(
-        workload, group_size=group_size, solver=solver, **options
-    ).strategy
+    return eigen_query_separation(workload, group_size=group_size, **options).strategy
 
 
 def principal_vectors_strategy(
@@ -29,10 +27,7 @@ def principal_vectors_strategy(
     *,
     count: int | None = None,
     fraction: float | None = None,
-    solver: str = "auto",
     **options,
 ) -> Strategy:
     """The strategy produced by the principal-vector optimisation."""
-    return principal_vectors(
-        workload, count=count, fraction=fraction, solver=solver, **options
-    ).strategy
+    return principal_vectors(workload, count=count, fraction=fraction, **options).strategy

@@ -127,7 +127,6 @@ def weighted_hierarchical_strategy(
     workload: Workload,
     *,
     branching: int = 2,
-    solver: str = "auto",
     **solver_options,
 ) -> Strategy:
     """Optimally re-weight the hierarchical design set for ``workload`` (Program 1).
@@ -143,7 +142,6 @@ def weighted_hierarchical_strategy(
     result = weighted_design_strategy(
         workload,
         design,
-        solver=solver,
         name=f"weighted-hierarchical-b{branching}",
         **solver_options,
     )

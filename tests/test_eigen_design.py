@@ -14,6 +14,7 @@ from repro import (
 )
 from repro.core.eigen_design import eigen_queries
 from repro.exceptions import OptimizationError
+from repro.optimize import WeightingProblem, solve_scipy
 from repro.strategies import (
     hierarchical_strategy,
     identity_strategy,
@@ -117,8 +118,17 @@ class TestEigenDesignAlgorithm:
         assert error == pytest.approx(minimum_error_bound(workload, privacy), rel=1e-6)
 
     def test_solver_selection_passthrough(self, fig1_workload):
-        result = eigen_design(fig1_workload, solver="scipy")
-        assert result.solution.solver == "scipy-slsqp"
+        # The design's weighting problem, handed to the SLSQP oracle directly,
+        # lands on the optimum the design's own solve reports.
+        result = eigen_design(fig1_workload)
+        problem = WeightingProblem(
+            costs=result.eigenvalues, constraints=(result.eigen_queries**2).T
+        )
+        reference = solve_scipy(problem)
+        assert reference.solver == "scipy-slsqp"
+        assert result.solution.objective_value == pytest.approx(
+            reference.objective_value, rel=1e-6
+        )
 
 
 class TestRepresentationIndependence:

@@ -146,6 +146,34 @@ class TestPlanner:
         kb = Workload.kronecker([all_range_queries_1d(8), Workload.identity(4)])
         assert workload_fingerprint(ka) == workload_fingerprint(kb)
 
+    @pytest.mark.parametrize("order", ["C", "F", "int"])
+    def test_array_digest_equals_the_byte_copy_digest(self, order):
+        # Fingerprints key the durable store: hashing the array's buffer must
+        # give the digest the former ``tobytes()`` copy gave.
+        import hashlib
+
+        from repro.engine.planner import _digest_array
+
+        matrix = np.arange(12.0).reshape(3, 4) - 5.5
+        if order == "F":
+            matrix = np.asfortranarray(matrix)
+        elif order == "int":
+            matrix = np.arange(12).reshape(3, 4) - 5
+        digest = hashlib.sha1()
+        _digest_array(digest, matrix)
+        dense = np.ascontiguousarray(np.asarray(matrix, dtype=float))
+        expected = hashlib.sha1()
+        expected.update(str(dense.shape).encode())
+        expected.update(dense.tobytes())
+        assert digest.hexdigest() == expected.hexdigest()
+
+    def test_fingerprint_is_pinned(self):
+        # A stored plan written by an earlier build keeps its key.
+        assert (
+            workload_fingerprint(all_range_queries_1d(16))
+            == "1cf1b4f030703a9b3cca8e8514c839bce44bda0b"
+        )
+
     def test_direct_mechanisms_only_without_estimate_requirement(self):
         workload = Workload.identity(8)
         with_estimate = Planner(cache=None).plan(workload, PRIVACY)

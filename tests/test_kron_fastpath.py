@@ -20,7 +20,7 @@ from repro import (
 )
 from repro.core.error import _trace_core
 from repro.exceptions import MaterializationError, SingularStrategyError
-from repro.optimize import WeightingProblem, solve_dual_ascent
+from repro.optimize import WeightingProblem, solve_weighting
 from repro.utils.operators import (
     EigenDiagOperator,
     KroneckerConstraints,
@@ -376,8 +376,8 @@ class TestFactorizedWeighting:
             dense_problem.constraint_values(u),
             atol=1e-10,
         )
-        dense_solution = solve_dual_ascent(dense_problem)
-        structured_solution = solve_dual_ascent(structured_problem)
+        dense_solution = solve_weighting(dense_problem)
+        structured_solution = solve_weighting(structured_problem)
         assert structured_solution.objective_value == pytest.approx(
             dense_solution.objective_value, rel=1e-5
         )

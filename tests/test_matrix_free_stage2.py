@@ -97,12 +97,8 @@ class TestGroupColumnOperator:
         rng = np.random.default_rng(seed)
         operator, dense = random_group_operator(rng, [3, 3])
         costs = rng.uniform(0.5, 2.0, size=dense.shape[1])
-        lazy = solve_weighting(
-            WeightingProblem(costs=costs, constraints=operator), solver="dual-ascent"
-        )
-        oracle = solve_weighting(
-            WeightingProblem(costs=costs, constraints=dense), solver="dual-ascent"
-        )
+        lazy = solve_weighting(WeightingProblem(costs=costs, constraints=operator))
+        oracle = solve_weighting(WeightingProblem(costs=costs, constraints=dense))
         assert lazy.objective_value == pytest.approx(oracle.objective_value, rel=1e-4)
 
     def test_overlapping_groups_rejected(self):

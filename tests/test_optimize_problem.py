@@ -89,11 +89,6 @@ class TestDual:
         gradient = simple_problem.dual_gradient(np.array([4.0, 1.0]))
         np.testing.assert_allclose(gradient, 0.0, atol=1e-12)
 
-    def test_hessian_negative_semidefinite(self, simple_problem, rng):
-        dual = rng.uniform(0.5, 2.0, size=2)
-        hessian = simple_problem.dual_hessian(dual)
-        assert np.all(np.linalg.eigvalsh(hessian) <= 1e-12)
-
     def test_gradient_matches_finite_differences(self, rng):
         costs = rng.uniform(0.5, 3.0, size=4)
         constraints = rng.uniform(0.0, 1.0, size=(5, 4))

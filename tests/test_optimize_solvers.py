@@ -1,15 +1,12 @@
-"""Tests for the weighting solvers (dual ascent, dual Newton, scipy, dispatcher)."""
+"""Tests for the weighting solver (L-BFGS-B on the dual) against the SLSQP oracle."""
 
 import numpy as np
 import pytest
 
 from repro.core.eigen_design import eigen_queries
-from repro.exceptions import OptimizationError
 from repro.optimize import (
     WeightingProblem,
     l1_weighting_problem,
-    solve_dual_ascent,
-    solve_dual_newton,
     solve_l1_weights,
     solve_scipy,
     solve_weighting,
@@ -27,7 +24,7 @@ def range_problem() -> WeightingProblem:
     return _eigen_problem(all_range_queries_1d(32))
 
 
-ALL_SOLVERS = [solve_dual_ascent, solve_dual_newton, solve_scipy]
+ALL_SOLVERS = [solve_weighting, solve_scipy]
 
 
 class TestSolverAgreement:
@@ -41,24 +38,25 @@ class TestSolverAgreement:
         values = [solver(range_problem).objective_value for solver in ALL_SOLVERS]
         assert max(values) == pytest.approx(min(values), rel=1e-3)
 
-    @pytest.mark.parametrize("solver", [solve_dual_ascent, solve_dual_newton])
-    def test_duality_gap_certificate(self, range_problem, solver):
-        solution = solver(range_problem)
+    def test_duality_gap_certificate(self, range_problem):
+        solution = solve_weighting(range_problem)
         assert solution.converged
-        assert solution.relative_gap <= 1e-5
+        assert solution.relative_gap <= 1e-6
         assert solution.dual_value <= solution.objective_value + 1e-9
+        # The reported dual value is a true lower bound at the optimum.
+        assert solution.dual_value <= solve_scipy(range_problem).objective_value * (1 + 1e-9)
 
     def test_agreement_on_marginal_workload(self):
         problem = _eigen_problem(kway_marginals([4, 4, 4], 2))
-        newton = solve_dual_newton(problem)
-        ascent = solve_dual_ascent(problem)
-        assert newton.objective_value == pytest.approx(ascent.objective_value, rel=1e-4)
+        solution = solve_weighting(problem)
+        reference = solve_scipy(problem)
+        assert solution.objective_value == pytest.approx(reference.objective_value, rel=1e-4)
 
     def test_agreement_on_skewed_cdf_workload(self):
         problem = _eigen_problem(cdf_workload(48))
-        newton = solve_dual_newton(problem)
+        solution = solve_weighting(problem)
         reference = solve_scipy(problem)
-        assert newton.objective_value == pytest.approx(reference.objective_value, rel=1e-3)
+        assert solution.objective_value == pytest.approx(reference.objective_value, rel=1e-3)
 
     def test_known_closed_form_diagonal_case(self):
         # With an identity design, min sum c_i/u_i s.t. u_i <= 1 has solution
@@ -87,23 +85,34 @@ class TestDispatcher:
         assert solution.converged
 
     def test_named_solver(self, range_problem):
-        solution = solve_weighting(range_problem, solver="dual-newton")
-        assert solution.solver == "dual-newton"
+        assert solve_weighting(range_problem).solver == "l-bfgs-b"
 
     def test_unknown_solver(self, range_problem):
-        with pytest.raises(OptimizationError):
+        # There is one solver: no backend can be chosen by name.
+        with pytest.raises(TypeError):
             solve_weighting(range_problem, solver="simplex")
 
     def test_convergence_warning_emitted(self, range_problem):
         from repro.exceptions import ConvergenceWarning
 
         with pytest.warns(ConvergenceWarning):
-            solve_weighting(range_problem, solver="dual-ascent", max_iterations=2)
+            solve_weighting(range_problem, max_iterations=2)
 
     def test_options_forwarded(self, range_problem):
-        solution = solve_weighting(range_problem, solver="dual-ascent", max_iterations=3,
-                                   warn_on_no_convergence=False)
+        solution = solve_weighting(range_problem, max_iterations=3, warn_on_no_convergence=False)
         assert solution.iterations <= 3
+        assert not solution.converged
+
+    def test_restarts_are_bounded_when_the_certificate_is_out_of_reach(self, range_problem):
+        # A gap of 1e-13 is below the dual's rounding floor on this problem:
+        # L-BFGS-B stops on its own, is restarted a bounded number of times,
+        # and the loose sqrt(tolerance) rule still reports convergence.
+        from repro.optimize.solver import RESTARTS
+
+        solution = solve_weighting(range_problem, tolerance=1e-13, warn_on_no_convergence=False)
+        assert solution.diagnostics["restarts"] <= RESTARTS
+        assert solution.converged
+        assert solution.relative_gap <= np.sqrt(1e-13)
 
 
 class TestL1Weighting:

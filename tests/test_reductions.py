@@ -1,5 +1,7 @@
 """Tests for the performance optimisations of Sec. 4 (eigen separation, principal vectors)."""
 
+import warnings
+
 import pytest
 
 from repro import (
@@ -10,7 +12,7 @@ from repro import (
     principal_vectors,
 )
 from repro.core.reductions import recommended_group_size
-from repro.exceptions import OptimizationError
+from repro.exceptions import ConvergenceWarning, OptimizationError
 from repro.workloads import all_range_queries_1d, kway_marginals
 
 
@@ -63,6 +65,15 @@ class TestEigenQuerySeparation:
         result = eigen_query_separation(range_workload, group_size=16)
         assert result.diagnostics["group_size"] == 16
         assert result.diagnostics["groups"] == 4
+
+    def test_every_stage_solve_certifies_on_all_ranges_384(self):
+        # 384 cells split into 55 groups of 7: every stage-1 group and the
+        # stage-2 combination must reach the duality-gap certificate.
+        workload = all_range_queries_1d(384, materialize=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            result = eigen_query_separation(workload, factorized=False)
+        assert result.diagnostics["groups"] == 55
 
 
 class TestPrincipalVectors:

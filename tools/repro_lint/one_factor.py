@@ -9,8 +9,7 @@ estimate, and a strategy shares its one factor through
 ``Strategy.normal_factor`` (architecture §5).
 
 Flagged: any call named ``cholesky`` or ``cho_factor`` outside that
-helper's body.  Allowlisted: ``repro.optimize.dual_newton``, whose Newton
-system is not a Gram.
+helper's body, in every module.
 """
 
 from __future__ import annotations
@@ -21,9 +20,6 @@ from .base import Checker, Finding, Project, call_name, unparse
 
 #: (module, function) of the one place a Gram may be Cholesky-factored.
 HELPER = ("repro.utils.linalg", "rank_checked_cholesky")
-
-#: Modules whose factorizations are not of a Gram.
-ALLOW_MODULES = {"repro.optimize.dual_newton"}
 
 FACTOR_CALLS = {"cholesky", "cho_factor"}
 
@@ -36,8 +32,6 @@ class OneFactorChecker(Checker):
     def run(self, project: Project) -> list[Finding]:
         findings: list[Finding] = []
         for source in project.files.values():
-            if source.module in ALLOW_MODULES:
-                continue
             for node in ast.walk(source.tree):
                 if not (isinstance(node, ast.Call) and call_name(node) in FACTOR_CALLS):
                     continue
