@@ -24,27 +24,53 @@ def range_problem() -> WeightingProblem:
     return _eigen_problem(all_range_queries_1d(32))
 
 
+@pytest.fixture(scope="module")
+def many_constraint_problem() -> WeightingProblem:
+    rng = np.random.default_rng(0)
+    return WeightingProblem(
+        costs=rng.uniform(0.1, 1.0, 16), constraints=rng.uniform(0.0, 1.0, (2400, 16))
+    )
+
+
 ALL_SOLVERS = [solve_weighting, solve_scipy]
+
+# Problems with at most 2200 constraints used to go to dual Newton and larger
+# ones to dual ascent.  These cases keep the names of those deleted backends
+# and run the single solver on a problem from the regime each one served.
+REGIMES = [
+    pytest.param("many_constraint_problem", id="solve_dual_ascent"),
+    pytest.param("range_problem", id="solve_dual_newton"),
+]
 
 
 class TestSolverAgreement:
-    @pytest.mark.parametrize("solver", ALL_SOLVERS)
-    def test_feasible_solution(self, range_problem, solver):
-        solution = solver(range_problem)
-        assert range_problem.max_violation(solution.weights) <= 1e-8
+    @pytest.mark.parametrize(
+        ("solver", "problem_name"),
+        [
+            pytest.param(solve_weighting, "many_constraint_problem", id="solve_dual_ascent"),
+            pytest.param(solve_weighting, "range_problem", id="solve_dual_newton"),
+            pytest.param(solve_scipy, "range_problem", id="solve_scipy"),
+        ],
+    )
+    def test_feasible_solution(self, request, solver, problem_name):
+        problem = request.getfixturevalue(problem_name)
+        solution = solver(problem)
+        assert problem.max_violation(solution.weights) <= 1e-8
         assert np.all(solution.weights >= 0)
 
     def test_all_backends_agree_on_optimum(self, range_problem):
         values = [solver(range_problem).objective_value for solver in ALL_SOLVERS]
         assert max(values) == pytest.approx(min(values), rel=1e-3)
 
-    def test_duality_gap_certificate(self, range_problem):
-        solution = solve_weighting(range_problem)
+    @pytest.mark.parametrize("problem_name", REGIMES)
+    def test_duality_gap_certificate(self, request, problem_name):
+        problem = request.getfixturevalue(problem_name)
+        solution = solve_weighting(problem)
         assert solution.converged
         assert solution.relative_gap <= 1e-6
         assert solution.dual_value <= solution.objective_value + 1e-9
         # The reported dual value is a true lower bound at the optimum.
-        assert solution.dual_value <= solve_scipy(range_problem).objective_value * (1 + 1e-9)
+        assert solution.dual_value <= solve_scipy(problem).objective_value * (1 + 1e-9)
 
     def test_agreement_on_marginal_workload(self):
         problem = _eigen_problem(kway_marginals([4, 4, 4], 2))
