@@ -158,13 +158,13 @@ def sample_error_quantile(
     from repro.utils.rng import as_generator
 
     rng = as_generator(random_state)
-    matrix = workload.matrix
-    strategy_matrix = strategy.matrix
     scale = privacy.gaussian_scale(strategy.sensitivity_l2)
-    pseudo_inverse = np.linalg.pinv(strategy_matrix)
-    transform = matrix @ pseudo_inverse
+    # The estimate's noise is R^+ z for the strategy's Gram root R and
+    # z ~ N(0, scale^2 I), so the answers' noise is W R^+ z.
+    root = strategy.normal_factor
+    transform = root.inverse_transpose(workload.matrix.T).T
     errors = np.empty(trials)
     for trial in range(trials):
-        noise = rng.normal(0.0, scale, size=strategy_matrix.shape[0])
+        noise = rng.normal(0.0, scale, size=root.rank)
         errors[trial] = math.sqrt(float(np.mean((transform @ noise) ** 2)))
     return float(np.quantile(errors, quantile))

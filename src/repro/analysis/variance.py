@@ -21,11 +21,12 @@ import math
 import numpy as np
 import scipy.stats
 
+from repro.core.error import per_query_error
 from repro.core.privacy import PrivacyParams
 from repro.core.strategy import Strategy
 from repro.core.workload import Workload
 from repro.exceptions import WorkloadError
-from repro.utils.linalg import solve_psd, symmetrize
+from repro.utils.linalg import symmetrize
 
 __all__ = [
     "answer_covariance",
@@ -43,7 +44,7 @@ def answer_covariance(
 ) -> np.ndarray:
     """The ``m x m`` covariance matrix of the noise in the workload answers."""
     matrix = workload.matrix
-    solved = solve_psd(strategy.gram, matrix.T)
+    solved = strategy.normal_factor.solve(matrix.T)
     scale = privacy.gaussian_scale(strategy.sensitivity_l2)
     return symmetrize(scale**2 * (matrix @ solved))
 
@@ -54,11 +55,7 @@ def answer_standard_deviations(
     privacy: PrivacyParams,
 ) -> np.ndarray:
     """Per-query noise standard deviations (the square root of the covariance diagonal)."""
-    matrix = workload.matrix
-    solved = solve_psd(strategy.gram, matrix.T)
-    variances = np.sum(matrix.T * solved, axis=0)
-    scale = privacy.gaussian_scale(strategy.sensitivity_l2)
-    return scale * np.sqrt(np.clip(variances, 0.0, None))
+    return per_query_error(workload, strategy, privacy)
 
 
 def confidence_intervals(

@@ -21,23 +21,21 @@ import threading
 from collections import OrderedDict
 
 import numpy as np
-import scipy.linalg
 
 from repro.core.privacy import PrivacyParams
 from repro.core.strategy import Strategy
 from repro.core.workload import Workload
 from repro.exceptions import MaterializationError, SingularStrategyError
 from repro.utils.linalg import (
+    SPECTRUM_CUTOFF,
     DeflationSpace,
-    factor_solver,
+    GramRoot,
     hutchpp_trace,
     pcg_solve,
-    pseudo_inverse_trace,
     trace_ratio,
 )
 from repro.utils.operators import (
     MATERIALIZATION_LIMIT,
-    SPECTRUM_CUTOFF,
     EigenDiagOperator,
     KroneckerOperator,
     SumOperator,
@@ -64,12 +62,6 @@ __all__ = [
 
 #: Default privacy setting used throughout the paper's experiments.
 DEFAULT_PRIVACY = PrivacyParams(epsilon=0.5, delta=1e-4)
-
-#: Strategy eigenvalues below this fraction of the largest count as zero when
-#: inverting a structured strategy Gram on its row space — the single shared
-#: constant from the operator layer, so the dispatch here and the Woodbury/CG
-#: machinery it routes to can never disagree on what "rank-deficient" means.
-_SPECTRUM_CUTOFF = SPECTRUM_CUTOFF
 
 #: Workload mass on the strategy's null space above this fraction of the total
 #: means the strategy cannot answer the workload.
@@ -204,7 +196,7 @@ def _eigen_diag_trace(workload_op: KroneckerOperator, strategy_op: EigenDiagOper
     projected = projected_workload_diagonal(basis, workload_op)
     spectrum = strategy_op.spectrum
     top = float(spectrum.max(initial=0.0))
-    alive = spectrum > _SPECTRUM_CUTOFF * top
+    alive = spectrum > SPECTRUM_CUTOFF * top
     dead_mass = float(projected[~alive].sum())
     total_mass = float(projected.sum())
     if dead_mass > _SUPPORT_TOLERANCE * max(total_mass, 1.0):
@@ -294,7 +286,7 @@ def _stochastic_completed_trace(
     spectrum = strategy_op.spectrum
     completion = strategy_op.diag
     top = float(spectrum.max(initial=0.0))
-    alive = spectrum > _SPECTRUM_CUTOFF * top
+    alive = spectrum > SPECTRUM_CUTOFF * top
     rank_deficient = not bool(np.all(alive))
     # CG runs in *basis* coordinates, where the strategy spectrum is exactly
     # diagonal: the Jacobi preconditioner then absorbs the full dynamic range
@@ -310,7 +302,7 @@ def _stochastic_completed_trace(
     # range cannot degrade their Jacobi preconditioner entries.
     # Preconditioning the unreachable coordinates with 1.0 keeps the solve
     # well-posed; consistent right-hand sides carry no mass there.
-    completion_floor = _SPECTRUM_CUTOFF * float(completion_in_basis.max(initial=0.0))
+    completion_floor = SPECTRUM_CUTOFF * float(completion_in_basis.max(initial=0.0))
     unreachable = (~alive) & (completion_in_basis <= max(completion_floor, 1e-300))
     preconditioner = np.where(unreachable, 1.0, np.clip(diagonal, 1e-300, None))
     if rank_deficient and np.any(unreachable):
@@ -507,10 +499,9 @@ def workload_strategy_trace(workload: Workload, strategy: Strategy) -> float:
     Operators are tried first even below the densification budget — a
     matching factorization beats the ``O(n^3)`` dense solve at any size.
 
-    The dense fallback prices against the strategy's cached
-    :attr:`~repro.core.strategy.Strategy.normal_factor`, the same factor the
-    matrix mechanism later releases through; a singular Gram goes through
-    the guarded pseudo-inverse instead.
+    The dense fallback prices against the strategy's cached Gram root
+    :attr:`~repro.core.strategy.Strategy.normal_factor`, the same root the
+    matrix mechanism later releases through, whatever the strategy's rank.
     """
     memo: dict = {}
     workload_op = workload.gram_operator
@@ -521,28 +512,30 @@ def workload_strategy_trace(workload: Workload, strategy: Strategy) -> float:
             return structured
     cells = strategy.column_count
     if within_materialization_budget(cells, cells):
-        factor = strategy.normal_factor
-        if factor is False:
-            return pseudo_inverse_trace(workload.gram, strategy.gram)
-        return _factor_trace(workload, factor)
+        return _factor_trace(workload, strategy.normal_factor)
     return _trace_core(workload.gram_source(), strategy.gram_source(), _memo=memo)
 
 
-def _factor_trace(workload: Workload, factor: np.ndarray) -> float:
-    """``trace(W^T W (U^T U)^{-1})`` from the strategy Gram's Cholesky factor ``U``.
+def _factor_trace(workload: Workload, root: GramRoot) -> float:
+    """``trace(W^T W (R^T R)^+)`` from the strategy Gram's root ``R``.
 
-    With explicit rows and ``m <= n`` this is ``||U^{-T} W^T||_F^2``, one
-    ``n x m`` triangular solve; otherwise one ``cho_solve`` against
-    ``W^T W``.  Neither factors anything.
+    With explicit rows and ``m <= n`` this is ``||R^{+T} W^T||_F^2``, one
+    ``n x m`` triangular solve at full rank; otherwise one solve against
+    ``W^T W``.  Neither factors anything.  A rank-deficient root must first
+    contain the workload's row space.
     """
+    if root.rank < workload.column_count and not root.supports(
+        workload.gram, _SUPPORT_TOLERANCE
+    ):
+        raise SingularStrategyError(
+            "strategy does not support the workload: the workload row space "
+            "is not contained in the strategy row space"
+        )
     if workload.has_matrix and workload.query_count <= workload.column_count:
         # W^T is a view of the workload's own rows, so it is never overwritten.
-        solved = scipy.linalg.solve_triangular(
-            factor, workload.matrix.T, trans="T", check_finite=False
-        )
+        solved = root.inverse_transpose(workload.matrix.T)
         return float(np.einsum("ij,ij->", solved, solved))
-    solved = scipy.linalg.cho_solve((factor, False), workload.gram, check_finite=False)
-    return float(np.trace(solved))
+    return float(np.trace(root.solve(workload.gram)))
 
 
 def expected_total_squared_error(
@@ -581,15 +574,13 @@ def _strategy_gram_solver(strategy: Strategy):
 
     Structured strategies (Kronecker products, factorized eigen designs,
     completed designs via the Woodbury machinery) serve the solve through the
-    shared inverse-apply protocol; everything else solves against the
-    strategy's cached Cholesky factor, or the spectral pseudo-inverse of a
-    singular Gram.
+    shared inverse-apply protocol; everything else solves through the
+    strategy's cached Gram root.
     """
     operator = strategy.gram_operator
     if operator is not None and hasattr(operator, "inverse_apply"):
         return operator.inverse_apply
-    factor = strategy.normal_factor
-    return factor_solver(None if factor is False else factor, strategy.gram)
+    return strategy.normal_factor.solve
 
 
 def per_query_error(

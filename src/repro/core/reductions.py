@@ -172,10 +172,13 @@ def eigen_query_separation(
     if not factorized or within_materialization_budget(workload.column_count, len(groups)):
         group_columns = np.zeros((workload.column_count, len(groups)))
     iterations = 0
+    # The combined outcome is certified only when every stage solve is.
+    converged = True
     for position, indexes in enumerate(groups):
         problem = WeightingProblem(costs=values[indexes], constraints=space.slice_columns(indexes))
         solution = solve_weighting(problem, **solver_options)
         iterations += solution.iterations
+        converged = converged and solution.converged
         scaled = problem.scale_to_feasible(solution.weights)
         scaled_weights.append(scaled)
         group_costs[position] = problem.objective(scaled)
@@ -202,6 +205,7 @@ def eigen_query_separation(
         combine_problem = WeightingProblem(costs=group_costs, constraints=stage2_constraints)
         combine_solution = solve_weighting(combine_problem, **solver_options)
         iterations += combine_solution.iterations
+        converged = converged and combine_solution.converged
         combined = combine_solution.weights
 
     squared_weights = np.zeros(count)
@@ -213,8 +217,9 @@ def eigen_query_separation(
     )
     final_problem = WeightingProblem(costs=values, constraints=space.constraints)
     feasible = final_problem.scale_to_feasible(squared_weights)
-    reporting = combine_solution if combine_solution is not None else None
-    solution = _reporting_solution(final_problem, feasible, iterations, reporting)
+    solution = _reporting_solution(
+        final_problem, feasible, iterations, combine_solution, converged
+    )
     return EigenDesignResult(
         strategy=strategy,
         weights=lambdas,
@@ -304,7 +309,7 @@ def principal_vectors(
     )
 
 
-def _reporting_solution(problem, feasible_weights, iterations, inner_solution):
+def _reporting_solution(problem, feasible_weights, iterations, inner_solution, converged):
     """Build a WeightingSolution describing the combined two-stage outcome."""
     from repro.optimize import WeightingSolution
 
@@ -316,6 +321,6 @@ def _reporting_solution(problem, feasible_weights, iterations, inner_solution):
         dual_value=dual_value,
         duality_gap=float("nan"),
         iterations=iterations,
-        converged=True,
+        converged=converged,
         solver="eigen-separation",
     )

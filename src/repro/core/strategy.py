@@ -10,10 +10,10 @@ through ``A^T A`` and its L2 sensitivity, so operator-backed strategies run
 the whole analysis pipeline; running the mechanism on real data still
 requires an explicit strategy.
 
-Spectral quantities (``rank``, ``sensitivity_l2``), ``sensitivity_l1`` and
-the Gram's rank-checked Cholesky factor (``normal_factor``) are cached: the
-first access pays for an ``eigvalsh``/diagonal/column-sum/Cholesky
-computation and every later access is free.  Pickling drops the factor.
+``rank``, ``sensitivity_l2``, ``sensitivity_l1`` and the root of the Gram
+(``normal_factor``, a :class:`~repro.utils.linalg.GramRoot`) are cached:
+the first access pays for a Cholesky or ``eigh``/diagonal/column-sum
+computation and every later access is free.  Pickling drops the root.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import numpy as np
 
 from repro.exceptions import MaterializationError, StrategyError
 from repro.utils.linalg import (
-    _spectral_pseudo_inverse,
+    SPECTRUM_CUTOFF,
+    GramRoot,
     gram_product,
     kron_all,
     rank_checked_cholesky,
@@ -32,7 +33,6 @@ from repro.utils.linalg import (
 )
 from repro.utils.operators import (
     HARD_MATERIALIZATION_LIMIT,
-    SPECTRUM_CUTOFF,
     EigenDiagOperator,
     KroneckerOperator,
     StructuredGramMixin,
@@ -90,17 +90,16 @@ class Strategy(StructuredGramMixin):
         # All Kronecker factors (explicit or Gram-implicit), for flattening
         # nested products and preserving the factorized fast paths.
         self._kron_factors: tuple["Strategy", ...] | None = None
-        # Cached spectral work (eigenvalues of the Gram, sensitivity, rank).
-        self._spectrum: np.ndarray | None = None
+        # Cached spectral work (sensitivity, rank).
         self._sensitivity_l2: float | None = None
         self._sensitivity_l1: float | None = None
         self._rank: int | None = None
-        # The Gram's upper Cholesky factor; False when the Gram is singular.
-        self._normal_factor: np.ndarray | bool | None = None
+        # The root of the Gram.
+        self._normal_factor: GramRoot | None = None
 
     def __getstate__(self) -> dict:
-        """Pickle without the Cholesky factor: stored plans, stored releases
-        and worker payloads stay their size, and the receiver refactors."""
+        """Pickle without the Gram root: stored plans, stored releases and
+        worker payloads stay their size, and the receiver refactors."""
         state = self.__dict__.copy()
         state["_normal_factor"] = None
         return state
@@ -250,37 +249,17 @@ class Strategy(StructuredGramMixin):
             self._sensitivity_l1 = float(np.max(np.sum(np.abs(self.matrix), axis=0)))
         return self._sensitivity_l1
 
-    def _gram_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of ``A^T A`` (ascending), computed once and cached.
-
-        A structured operator's spectrum is (near-)free and preferred even
-        when a dense Gram happens to be cached — ``eigvalsh`` is the
-        ``O(n^3)`` last resort.
-        """
-        if self._spectrum is None:
-            operator = self.gram_operator
-            if isinstance(operator, EigenDiagOperator) and not operator.has_diag:
-                self._spectrum = operator.eigenvalues_sorted()[::-1].copy()
-            elif isinstance(operator, KroneckerOperator):
-                self._spectrum = np.sort(operator.eigenbasis().values_natural)
-            else:
-                self._spectrum = np.linalg.eigvalsh(self.gram)
-        return self._spectrum
-
     @property
     def rank(self) -> int:
         """Numerical rank of the strategy (cached; factorized when structured).
 
-        A *completed* factorized design has no closed-form sorted spectrum
-        (the completion diagonal couples the eigenbasis), but its rank is
-        still structured: alive spectrum plus the dead-space rank reached by
-        the completion rows, served by the Woodbury machinery without any
-        ``n x n`` work.  Note the Woodbury path counts "alive" against the
-        shared relative :data:`~repro.utils.operators.SPECTRUM_CUTOFF`
-        (``1e-9``, the same zero-test its solves use) while the dense
-        fallback uses the looser ``top * n * eps`` machine threshold — a
-        spectrum entry sitting between the two is representation-dependent,
-        as numerical rank near a cutoff always is.
+        A dense Gram's rank is its root's (:attr:`normal_factor`).  A
+        structured spectrum is counted against the machine threshold
+        ``top * n * eps``.  A *completed* factorized design has no
+        closed-form sorted spectrum (the completion diagonal couples the
+        eigenbasis), but its rank is still structured: alive spectrum plus
+        the dead-space rank reached by the completion rows, served by the
+        Woodbury machinery without any ``n x n`` work.
         """
         if self._rank is None:
             operator = self.gram_operator
@@ -290,7 +269,13 @@ class Strategy(StructuredGramMixin):
                     return self._rank
                 except MaterializationError:
                     pass  # completion rank too large even for the hard cap
-            values = self._gram_eigenvalues()
+            if isinstance(operator, EigenDiagOperator) and not operator.has_diag:
+                values = operator.eigenvalues_sorted()
+            elif isinstance(operator, KroneckerOperator):
+                values = operator.eigenbasis().values_natural
+            else:
+                self._rank = self.normal_factor.rank
+                return self._rank
             top = float(values.max(initial=0.0))
             if top <= 0:
                 self._rank = 0
@@ -300,17 +285,17 @@ class Strategy(StructuredGramMixin):
         return self._rank
 
     @property
-    def normal_factor(self) -> np.ndarray | bool:
-        """The upper Cholesky factor ``U`` of the Gram (``U^T U = A^T A``).
+    def normal_factor(self) -> GramRoot:
+        """The root ``R`` of the Gram (``R^T R = A^T A`` on its row space).
 
-        ``False`` when the Gram is numerically singular, by the test of
-        :func:`~repro.utils.linalg.rank_checked_cholesky`.  Computed once
-        and cached: candidate pricing and the Gaussian release of the matrix
-        mechanism share this one factor.
+        Its upper Cholesky factor when the Gram has full rank, by the test of
+        :func:`~repro.utils.linalg.rank_checked_cholesky`; otherwise the
+        spectral root from one ``eigh``.  Computed once and cached: pricing,
+        support checks, the matrix mechanism's release and its inference
+        share this one root.
         """
         if self._normal_factor is None:
-            factor = rank_checked_cholesky(self.gram)
-            self._normal_factor = False if factor is None else factor
+            self._normal_factor = GramRoot(self.gram)
         return self._normal_factor
 
     @property
@@ -347,11 +332,7 @@ class Strategy(StructuredGramMixin):
         # of concurrent tenants (ROADMAP item 4(d)).
         if rank_checked_cholesky(self.gram) is not None:
             return True
-        workload_gram = symmetrize(np.asarray(workload_gram, dtype=float))
-        _, projector = _spectral_pseudo_inverse(self.gram)
-        residual = workload_gram - projector @ workload_gram @ projector
-        scale = max(np.abs(workload_gram).max(), 1.0)
-        return bool(np.abs(residual).max() <= tolerance * scale)
+        return self.normal_factor.supports(workload_gram, tolerance)
 
     def supports_workload(self, workload, tolerance: float = 1e-6) -> bool:
         """Row-space support test that never densifies beyond the budget.
@@ -405,10 +386,6 @@ class Strategy(StructuredGramMixin):
                 f"{cells} x {cells} Gram, beyond the materialization budget"
             )
         return self.supports(workload.gram, tolerance)
-
-    def pseudo_inverse(self) -> np.ndarray:
-        """Return ``A^+``, used by the matrix mechanism's inference step."""
-        return np.linalg.pinv(self.matrix)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = f" {self.name!r}" if self.name else ""

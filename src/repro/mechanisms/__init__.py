@@ -11,7 +11,7 @@ from repro.mechanisms.composition import (
     zcdp_to_approx_dp,
 )
 from repro.mechanisms.gaussian import GaussianMechanism
-from repro.mechanisms.inference import least_squares_estimate, nonnegative_least_squares_estimate
+from repro.mechanisms.inference import nonnegative_least_squares_estimate
 from repro.mechanisms.laplace import LaplaceMechanism
 from repro.mechanisms.laplace_matrix import expected_workload_error_l1
 from repro.mechanisms.matrix_mechanism import MatrixMechanism, MechanismResult
@@ -29,7 +29,6 @@ __all__ = [
     "basic_composition",
     "expected_workload_error_l1",
     "gaussian_zcdp",
-    "least_squares_estimate",
     "nonnegative_least_squares_estimate",
     "zcdp_noise_scale",
     "zcdp_to_approx_dp",

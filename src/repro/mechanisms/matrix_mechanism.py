@@ -7,14 +7,18 @@ mechanism
    releases.  Under pure epsilon privacy (``delta == 0``, Sec. 3.5) it
    releases the strategy answers ``A x`` plus Laplace noise scaled to the L1
    sensitivity of ``A``.  Under (epsilon, delta) privacy (Prop. 3) it adds
-   Gaussian noise scaled to an L2 sensitivity, and for a full-rank strategy
-   it releases ``U x`` instead of ``A x``, where ``U`` is the upper Cholesky
-   factor of the Gram, ``U^T U = A^T A``.  Both releases give an estimate
-   distributed as ``N(x, sigma^2 (A^T A)^{-1})``, and ``U``'s largest
-   column norm is ``A``'s, so the calibration and the Prop. 4 error are
-   those of ``A`` while the work is n x n triangular, not p x n;
-2. infers an estimate ``x_hat`` of the data vector by least squares: one
-   triangular solve against ``U``, or ``lstsq`` against ``A``;
+   Gaussian noise scaled to an L2 sensitivity, and releases ``R x`` instead
+   of ``A x``, where ``R`` is the strategy's Gram root,
+   ``R^T R = A^T A`` on its row space: the upper Cholesky factor at full
+   rank, ``diag(sqrt(lambda)) V_r^T`` otherwise.  Both releases give an
+   estimate distributed as ``N(P x, sigma^2 (A^T A)^+)``, with ``P`` the
+   projection onto the row space, and ``R``'s largest column norm is
+   ``A``'s, so the calibration and the Prop. 4 error are those of ``A``
+   while the work is at most n x n, not p x n;
+2. infers an estimate ``x_hat`` of the data vector by least squares:
+   ``R^+ y`` (one triangular solve at full rank), ``(A^T A)^+ A^T y``
+   through the same root after a Laplace release, or non-negative least
+   squares against ``A`` when asked for;
 3. answers the workload as ``W x_hat``.
 
 Because all workload answers are derived from the single estimate ``x_hat``,
@@ -23,8 +27,8 @@ synthetic contingency table tailored to the workload.
 
 The strategy fixes everything except the noise scale, so one mechanism
 serves every privacy setting: its validation, sensitivities and
-Cholesky factor are computed once and reused whatever ``(epsilon, delta)``
-a run asks for.
+Gram root are computed once and reused whatever ``(epsilon, delta)`` a run
+asks for.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from repro.core.error import expected_workload_error
 from repro.core.privacy import PrivacyParams
@@ -41,9 +44,8 @@ from repro.core.strategy import Strategy
 from repro.core.workload import Workload
 from repro.exceptions import SingularStrategyError
 from repro.mechanisms.gaussian import max_column_norm
-from repro.mechanisms.inference import least_squares_estimate, nonnegative_least_squares_estimate
+from repro.mechanisms.inference import nonnegative_least_squares_estimate
 from repro.mechanisms.laplace_matrix import expected_workload_error_l1
-from repro.utils.linalg import PSEUDO_INVERSE_CUTOFF
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_matrix, check_vector
 
@@ -95,12 +97,10 @@ class MatrixMechanism:
         self._reset_caches()
 
     def _reset_caches(self) -> None:
-        # Filled on first use.  The strategy is validated on the first run.
-        # The Gaussian regime's upper Cholesky factor of A^T A is None until
-        # its first run and False when Gaussian runs measure A instead; the
-        # column norm is the L2 sensitivity of whichever map they release.
+        # Filled on first use.  The strategy is validated on the first run;
+        # the column norm is the L2 sensitivity of the map Gaussian runs
+        # release, computed on the first of them.
         self._validated = False
-        self._normal_factor = None
         self._column_norm: float | None = None
         # Workloads whose support by the strategy has already been verified,
         # held weakly so a long-lived mechanism never pins its callers' workloads.
@@ -109,7 +109,7 @@ class MatrixMechanism:
     def __getstate__(self) -> dict:
         """Pickle without the caches: the receiving process rebuilds them."""
         state = self.__dict__.copy()
-        for name in ("_validated", "_normal_factor", "_column_norm", "_supported_workloads"):
+        for name in ("_validated", "_column_norm", "_supported_workloads"):
             del state[name]
         return state
 
@@ -117,23 +117,21 @@ class MatrixMechanism:
         self.__dict__.update(state)
         self._reset_caches()
 
-    def _gaussian_factor(self):
-        """The factor Gaussian runs release through, or ``False`` for ``A``.
+    def _gaussian_sensitivity(self) -> float:
+        """The L2 sensitivity of what Gaussian runs release, computed once.
 
-        ``U^T U = A^T A`` for the upper Cholesky factor ``U``, so ``U``'s
-        column norms are ``A``'s and ``U^{-1}(U x + sigma z)`` has the same
-        distribution as the least-squares estimate from ``A x + sigma z``.
-        ``U`` is the strategy's own cached ``normal_factor``, the one
-        candidate pricing used.  Rank-deficient strategies (no factor) and
-        nonnegative inference measure ``A``.
+        They release ``R x`` for the strategy's Gram root ``R``, whose column
+        norms are ``A``'s on the root's row space (``R^T R = A^T A``), so
+        ``R^+ (R x + sigma z)`` is distributed as the least-squares estimate
+        from ``A x + sigma z``.  ``R`` is the strategy's cached
+        ``normal_factor``, the root candidate pricing used.  Nonnegative
+        inference measures ``A`` itself.
         """
-        if self._normal_factor is None:
-            factor = False if self.nonnegative else self.strategy.normal_factor
-            # The exact sensitivity of the map released.
-            released = self.strategy.matrix if factor is False else factor
+        if self._column_norm is None:
+            strategy = self.strategy
+            released = strategy.matrix if self.nonnegative else strategy.normal_factor.factor
             self._column_norm = max_column_norm(released)
-            self._normal_factor = factor
-        return self._normal_factor
+        return self._column_norm
 
     def run(
         self,
@@ -164,32 +162,24 @@ class MatrixMechanism:
         rng = as_generator(random_state)
         # Privacy enters only here, as the noise scale.
         if privacy.is_approximate:
-            factor = self._gaussian_factor()
-            scale = privacy.gaussian_scale(self._column_norm)
+            scale = privacy.gaussian_scale(self._gaussian_sensitivity())
             draw = rng.normal
         else:
-            factor = False
             scale = privacy.laplace_scale(self.strategy.sensitivity_l1)
             draw = rng.laplace
-        if factor is not False:
-            # Release U x + sigma z and invert it: one n x n trmv and one trsv.
-            noisy = scipy.linalg.blas.dtrmv(factor, data) + draw(0.0, scale, size=cells)
-            estimate = scipy.linalg.blas.dtrsv(factor, noisy)
+        if privacy.is_approximate and not self.nonnegative:
+            # Release R x + sigma z and invert it through the Gram root: one
+            # n x n trmv and one trsv at full rank.
+            root = self.strategy.normal_factor
+            noisy = root.release(data) + draw(0.0, scale, size=root.rank)
+            estimate = root.invert(noisy)
         else:
             matrix = self.strategy.matrix
             noisy = matrix @ data + draw(0.0, scale, size=matrix.shape[0])
             if self.nonnegative:
                 estimate = nonnegative_least_squares_estimate(matrix, noisy)
-            elif self.strategy.normal_factor is False:
-                # Invert on the row space the price assumed: singular values
-                # whose squares fall below the pseudo-inverse cutoff are zero.
-                # lstsq's own cutoff would amplify noise along near-null
-                # directions of a numerically singular strategy.
-                estimate = least_squares_estimate(
-                    matrix, noisy, rcond=np.sqrt(PSEUDO_INVERSE_CUTOFF)
-                )
             else:
-                estimate = least_squares_estimate(matrix, noisy)
+                estimate = self.strategy.normal_factor.solve(matrix.T @ noisy)
         # answer() serves explicit matrices and factored row operators alike,
         # so large Kronecker workloads can be answered without materialising
         # their (possibly enormous) query matrix.

@@ -31,11 +31,10 @@ __all__ = [
     "max_column_norm",
     "trace_product",
     "trace_ratio",
-    "pseudo_inverse_trace",
+    "SPECTRUM_CUTOFF",
     "rank_checked_cholesky",
+    "GramRoot",
     "solve_psd",
-    "psd_solver",
-    "factor_solver",
     "pcg_solve",
     "DeflationSpace",
     "hutchpp_trace",
@@ -46,13 +45,10 @@ __all__ = [
     "prefix_matrix",
 ]
 
-#: Relative tolerance used to decide whether an eigenvalue is zero.
-EIGENVALUE_TOLERANCE = 1e-10
-
-#: Gram eigenvalues below this fraction of the largest count as zero in every
-#: pseudo-inverse: the pricing of singular strategies and the least-squares
-#: release that must deliver that price.
-PSEUDO_INVERSE_CUTOFF = 1e-9
+#: Relative eigenvalue cutoff shared by every pseudo-inverse, dense and
+#: structured: a Gram eigenvalue below this fraction of the largest counts as
+#: zero, in pricing, inference and support tests alike.
+SPECTRUM_CUTOFF = 1e-9
 
 
 def symmetrize(matrix: np.ndarray) -> np.ndarray:
@@ -131,29 +127,6 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b.T))
 
 
-def _spectral_pseudo_inverse(
-    gram: np.ndarray, relative_cutoff: float = PSEUDO_INVERSE_CUTOFF
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose a PSD matrix and return ``(pseudo_inverse, projector)``.
-
-    Eigenvalues below ``relative_cutoff`` times the largest eigenvalue are
-    treated as exact zeros; this avoids catastrophically amplifying the tiny
-    eigenvalues introduced by nearly-redundant strategy rows (for example the
-    sensitivity-completion rows of the eigen design, whose weights can be
-    arbitrarily small).
-    """
-    values, vectors = np.linalg.eigh(symmetrize(gram))
-    top = float(values.max(initial=0.0))
-    if top <= 0:
-        size = gram.shape[0]
-        return np.zeros((size, size)), np.zeros((size, size))
-    keep = values > relative_cutoff * top
-    retained_vectors = vectors[:, keep]
-    inverse = (retained_vectors / values[keep]) @ retained_vectors.T
-    projector = retained_vectors @ retained_vectors.T
-    return inverse, projector
-
-
 def rank_checked_cholesky(gram: np.ndarray) -> np.ndarray | None:
     """The upper Cholesky factor ``U`` of a PSD ``gram`` (``U^T U = gram``), or ``None``.
 
@@ -162,9 +135,9 @@ def rank_checked_cholesky(gram: np.ndarray) -> np.ndarray | None:
     pivots at rounding level.  So the factor must also pass LAPACK
     ``dpocon``'s reciprocal condition estimate, which has to exceed
     ``n * eps`` — the relative cutoff
-    :attr:`repro.core.strategy.Strategy.rank` applies to eigenvalues.  This
-    is the one place the package Cholesky-factors a Gram; every full-rank
-    test and solve goes through it.
+    :attr:`repro.core.strategy.Strategy.rank` applies to a structured
+    spectrum.  This is the one place the package Cholesky-factors a Gram;
+    every full-rank test and solve goes through it.
 
     Parameters
     ----------
@@ -188,18 +161,104 @@ def rank_checked_cholesky(gram: np.ndarray) -> np.ndarray | None:
         return None
     # numpy's norm, not LAPACK dlange: dlange holds the GIL, which stalls
     # concurrent requests for the length of the pass.
-    rcond, info = scipy.linalg.lapack.dpocon(factor, np.linalg.norm(gram, 1))
-    if info != 0 or not rcond > gram.shape[0] * np.finfo(float).eps:
+    reciprocal_condition, info = scipy.linalg.lapack.dpocon(factor, np.linalg.norm(gram, 1))
+    if info != 0 or not reciprocal_condition > gram.shape[0] * np.finfo(float).eps:
         return None
     return factor
+
+
+class GramRoot:
+    """A root ``R`` of a PSD Gram ``G``: ``R^T R = G`` on ``G``'s numerical row space.
+
+    A full-rank ``G`` (by :func:`rank_checked_cholesky`) keeps its ``n x n``
+    upper Cholesky factor ``U``.  Otherwise one ``eigh`` keeps the ``r``
+    eigenvalues ``lambda`` above :data:`SPECTRUM_CUTOFF` times the largest,
+    and ``R = diag(sqrt(lambda)) V_r^T`` is ``r x n``, so ``R^+ = R^T
+    diag(1/lambda)`` and ``(R^T R)^+`` is ``G``'s pseudo-inverse on that
+    spectrum.  The methods below are everything the matrix mechanism needs
+    from ``G``, whichever form is held; ``rank`` is ``R``'s row count.
+
+    Examples
+    --------
+    >>> root = GramRoot(np.ones((2, 2)))
+    >>> root.rank, root.factor.shape
+    (1, (1, 2))
+    >>> root.solve(np.array([2.0, 2.0]))
+    array([1., 1.])
+    >>> GramRoot(4.0 * np.eye(2)).invert(np.array([2.0, 4.0]))
+    array([1., 2.])
+    """
+
+    __slots__ = ("factor", "values")
+
+    def __init__(self, gram: np.ndarray):
+        gram = np.asarray(gram, dtype=float)
+        factor = rank_checked_cholesky(gram)
+        values = None
+        if factor is None:
+            values, vectors = np.linalg.eigh(gram)
+            keep = values > SPECTRUM_CUTOFF * max(float(values[-1]), 0.0)
+            values = values[keep]
+            factor = vectors[:, keep].T * np.sqrt(values)[:, None]
+        #: ``R``: the upper Cholesky factor, or the ``r x n`` spectral root.
+        self.factor = factor
+        #: The eigenvalues the spectral root keeps; ``None`` for a Cholesky factor.
+        self.values = values
+
+    @property
+    def rank(self) -> int:
+        """The numerical rank of ``G``: ``n`` at full rank, else ``r``."""
+        return self.factor.shape[0]
+
+    def release(self, data: np.ndarray) -> np.ndarray:
+        """``R x``: what a Gaussian release measures instead of ``A x``."""
+        if self.values is None:
+            return scipy.linalg.blas.dtrmv(self.factor, data)
+        return self.factor @ data
+
+    def invert(self, noisy: np.ndarray) -> np.ndarray:
+        """``R^+ y``: the least-squares estimate from a release ``y = R x + noise``."""
+        if self.values is None:
+            return scipy.linalg.blas.dtrsv(self.factor, noisy)
+        return self.factor.T @ (noisy / self.values)
+
+    def inverse_transpose(self, rhs: np.ndarray) -> np.ndarray:
+        """``R^{+T} B`` for an ``n x k`` block ``B``; ``||R^{+T} W^T||_F^2``
+        is ``trace(W G^+ W^T)``, the price of a workload ``W``."""
+        if self.values is None:
+            return scipy.linalg.solve_triangular(self.factor, rhs, trans="T", check_finite=False)
+        return (self.factor @ rhs) / self.values[:, None]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``G^+ B``: ``G^{-1} B`` at full rank, the rank-``r`` pseudo-inverse otherwise."""
+        if self.values is None:
+            return scipy.linalg.cho_solve((self.factor, False), rhs, check_finite=False)
+        weights = self.values**-2.0
+        projected = self.factor @ rhs
+        return self.factor.T @ (projected * (weights if projected.ndim == 1 else weights[:, None]))
+
+    def supports(self, gram: np.ndarray, tolerance: float = 1e-6) -> bool:
+        """True when ``gram``'s row space lies in ``G``'s (always at full rank).
+
+        ``gram`` is supported when projecting it onto ``G``'s retained
+        eigenvectors moves no entry by more than ``tolerance`` times its
+        largest (at least 1).  Cost: ``O(r n^2)``.
+        """
+        if self.values is None:
+            return True
+        gram = symmetrize(np.asarray(gram, dtype=float))
+        basis = self.factor / np.sqrt(self.values)[:, None]
+        inside = basis.T @ ((basis @ gram @ basis.T) @ basis)
+        scale = max(np.abs(gram).max(), 1.0)
+        return bool(np.abs(gram - inside).max() <= tolerance * scale)
 
 
 def solve_psd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``gram @ X = rhs`` for a symmetric PSD ``gram``.
 
-    Uses a Cholesky factorization when the matrix has full rank (see
-    :func:`rank_checked_cholesky`) and falls back to a rank-truncated
-    pseudo-inverse for (numerically) singular matrices.
+    Through ``gram``'s :class:`GramRoot`: a Cholesky solve when the matrix
+    has full rank, the rank-truncated pseudo-inverse when it is
+    (numerically) singular.
 
     Parameters
     ----------
@@ -214,44 +273,7 @@ def solve_psd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     >>> solve_psd(2.0 * np.eye(2), np.array([2.0, 4.0]))
     array([1., 2.])
     """
-    return psd_solver(gram)(rhs)
-
-
-def psd_solver(gram: np.ndarray):
-    """Return a reusable ``rhs -> gram^{-1} rhs`` closure for a PSD ``gram``.
-
-    Factorizes once (the rank-checked Cholesky, or the rank-truncated
-    spectral pseudo-inverse for singular matrices) so repeated right-hand
-    sides — e.g. the query blocks of
-    :func:`repro.core.error.per_query_error` — do not refactorize.
-
-    Parameters
-    ----------
-    gram:
-        Symmetric PSD ``(n, n)`` matrix.  Cost: one ``O(n^3)``
-        factorization, then ``O(n^2)`` per solve.
-
-    Examples
-    --------
-    >>> solve = psd_solver(4.0 * np.eye(2))
-    >>> solve(np.array([4.0, 8.0]))
-    array([1., 2.])
-    """
-    gram = symmetrize(gram)
-    return factor_solver(rank_checked_cholesky(gram), gram)
-
-
-def factor_solver(factor: np.ndarray | None, gram: np.ndarray):
-    """``rhs -> gram^{-1} rhs`` from ``gram``'s rank-checked Cholesky ``factor``.
-
-    ``factor`` is :func:`rank_checked_cholesky`'s result for ``gram``; when
-    it is ``None`` the solve applies the rank-truncated spectral
-    pseudo-inverse of ``gram`` instead.
-    """
-    if factor is None:
-        inverse, _ = _spectral_pseudo_inverse(gram)
-        return lambda rhs: inverse @ rhs
-    return lambda rhs: scipy.linalg.cho_solve((factor, False), rhs, check_finite=False)
+    return GramRoot(symmetrize(gram)).solve(rhs)
 
 
 class DeflationSpace:
@@ -604,31 +626,13 @@ def trace_ratio(workload_gram: np.ndarray, strategy_gram: np.ndarray) -> float:
     >>> round(trace_ratio(np.eye(2), 2.0 * np.eye(2)), 12)
     1.0
     """
-    strategy_gram = symmetrize(strategy_gram)
-    factor = rank_checked_cholesky(strategy_gram)
-    if factor is not None:
-        solved = scipy.linalg.cho_solve((factor, False), workload_gram, check_finite=False)
-        return float(np.trace(solved))
-    return pseudo_inverse_trace(workload_gram, strategy_gram)
-
-
-def pseudo_inverse_trace(workload_gram: np.ndarray, strategy_gram: np.ndarray) -> float:
-    """:func:`trace_ratio` for a singular ``strategy_gram``, with its support check.
-
-    Inverts the strategy Gram on its (numerical) row space and verifies
-    that the workload lies inside that row space, raising
-    :class:`~repro.exceptions.SingularStrategyError` otherwise.
-    """
-    workload_gram = symmetrize(workload_gram)
-    inverse, projector = _spectral_pseudo_inverse(strategy_gram)
-    residual = workload_gram - projector @ workload_gram @ projector
-    scale = max(np.abs(workload_gram).max(), 1.0)
-    if np.abs(residual).max() > 1e-6 * scale:
+    root = GramRoot(symmetrize(strategy_gram))
+    if not root.supports(workload_gram):
         raise SingularStrategyError(
             "strategy does not support the workload: the workload row space "
             "is not contained in the strategy row space"
         )
-    return float(np.sum(inverse * workload_gram.T))
+    return float(np.trace(root.solve(workload_gram)))
 
 
 def psd_project(matrix: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from repro.exceptions import MaterializationError, SingularStrategyError
-from repro.utils.linalg import kron_all, symmetrize
+from repro.utils.linalg import SPECTRUM_CUTOFF, kron_all, symmetrize
 
 __all__ = [
     "HARD_MATERIALIZATION_LIMIT",
@@ -75,11 +75,6 @@ MATERIALIZATION_LIMIT = 10**7
 #: still gets it, matching the pre-operator behaviour; beyond the hard cap
 #: a :class:`~repro.exceptions.MaterializationError` is raised.
 HARD_MATERIALIZATION_LIMIT = 2**28
-
-#: Relative eigenvalue cutoff shared by every structured pseudo-inverse: a
-#: spectrum entry below this fraction of the largest counts as zero.
-SPECTRUM_CUTOFF = 1e-9
-
 
 def within_materialization_budget(rows: int, columns: int, *, limit: int | None = None) -> bool:
     """True when a ``rows x columns`` dense array is small enough to build.

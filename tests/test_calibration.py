@@ -25,7 +25,7 @@ from repro.core.privacy import PrivacyParams
 from repro.core.workload import Workload
 from repro.engine import Server
 from repro.engine.session import Session
-from repro.workloads import prefix_workload
+from repro.workloads import kway_marginals, permuted_workload, prefix_workload
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -46,7 +46,7 @@ def server(request):
             assert executor["executed"] > 0 and executor["inline_fallbacks"] == 0
 
 
-def _release(server, monkeypatch, workload, params):
+def _release(server, monkeypatch, workload, params, data=DATA):
     """``DRAWS`` seeded paid answers, with the noise scale each one reported."""
     scales = []
     record = Session._record
@@ -58,7 +58,7 @@ def _release(server, monkeypatch, workload, params):
     monkeypatch.setattr(Session, "_record", recorded)
     answers = [
         server.ask(
-            "calibration", workload, epsilon=params.epsilon, delta=params.delta, data=DATA
+            "calibration", workload, epsilon=params.epsilon, delta=params.delta, data=data
         )
         for _ in range(DRAWS)
     ]
@@ -76,7 +76,7 @@ def _assert_close(samples, expected, what):
     )
 
 
-def _check(answers, scales, workload, params, probes):
+def _check(answers, scales, workload, params, probes, data=DATA):
     """Noise scale, probe variances and pooled RMSE of one plan's releases."""
     strategy = answers[0].plan.mechanism.strategy
     matrix = strategy.matrix
@@ -89,12 +89,12 @@ def _check(answers, scales, workload, params, probes):
     np.testing.assert_allclose(scales, scale, rtol=1e-12, atol=0)
 
     pinv = np.linalg.pinv(matrix)
-    errors = np.array([answer.estimate for answer in answers]) - DATA
+    errors = np.array([answer.estimate for answer in answers]) - data
     for index, probe in enumerate(probes):
         exact = variance * float(np.sum((pinv.T @ probe) ** 2))
         _assert_close((errors @ probe) ** 2, exact, f"variance of probe {index}")
 
-    truth = workload.answer(DATA)
+    truth = workload.answer(data)
     squared = np.array([np.mean((answer.answers - truth) ** 2) for answer in answers])
     reported = {answer.expected_error for answer in answers}
     assert len(reported) == 1
@@ -117,7 +117,7 @@ def test_gaussian_full_rank_plan(server, monkeypatch):
 
 def test_gaussian_rank_deficient_plan(server, monkeypatch):
     # A one-way marginal is answered best by measuring itself: a rank-4
-    # strategy over 32 cells, which the mechanism must invert by lstsq.
+    # strategy over 32 cells, released through its spectral Gram root.
     workload = Workload(np.kron(np.eye(4), np.ones((1, CELLS // 4))), name="marginal")
     params = PrivacyParams(1.0, 1e-6)
     answers, scales = _release(server, monkeypatch, workload, params)
@@ -126,6 +126,27 @@ def test_gaussian_rank_deficient_plan(server, monkeypatch):
     probes = [matrix.T @ weights for weights in np.eye(matrix.shape[0])[:2]]
     probes.append(matrix.T @ np.random.default_rng(12).normal(size=matrix.shape[0]))
     _check(answers, scales, workload, params, probes)
+
+
+def test_gaussian_singular_eigen_design_plan(server, monkeypatch):
+    # The eigen design of this permuted 2-way marginal over [4, 4, 4, 6] is
+    # numerically singular (rank 87 of 384 cells), although a bare Cholesky
+    # of its Gram succeeds; it is released through its spectral Gram root.
+    workload = permuted_workload(kway_marginals([4, 4, 4, 6], 2), random_state=1814323242)
+    cells = workload.column_count
+    data = np.random.default_rng(13).poisson(40.0, cells).astype(float)
+    params = PrivacyParams(1.0, 1e-6)
+    answers, scales = _release(server, monkeypatch, workload, params, data)
+    strategy = answers[0].plan.mechanism.strategy
+    assert strategy.name == "eigen-design"
+    assert strategy.normal_factor.rank == 87
+    # A itself has full rank: its completion rows carry singular values near
+    # 1e-8 of the largest, which the root drops.  The workload's rows lie in
+    # the row space the root keeps.
+    rows = workload.matrix
+    probes = [rows.T @ weights for weights in np.eye(rows.shape[0])[:2]]
+    probes.append(rows.T @ np.random.default_rng(12).normal(size=rows.shape[0]))
+    _check(answers, scales, workload, params, probes, data)
 
 
 def test_laplace_plan(server, monkeypatch):

@@ -1,12 +1,13 @@
-"""Cold-plan pricing: closed-form baselines, one rank-checked factor per strategy.
+"""Cold-plan pricing: closed-form baselines, one Gram root per strategy.
 
 The planner prices the identity baseline as ``trace(W^T W)`` and the
 workload-as-strategy baseline as ``sens(W)^2 * rank(W^T W)``, and prices a
-full-rank design against the Cholesky factor its matrix mechanism later
-releases through.  These tests hold that pricing to the guarded dense
-oracle, count the factorizations a cold plan and its first paid answer
-make, and pin the numerically singular design that a bare Cholesky used to
-pass as full rank.
+design against the Gram root its matrix mechanism later releases through:
+the Cholesky factor at full rank, the spectral root otherwise.  These tests
+hold that pricing to a dense oracle of their own (a ``cho_solve``, or the
+SVD pseudo-inverse of ``A``), count the factorizations a cold plan and its
+paid answers make, and pin the numerically singular design that a bare
+Cholesky used to pass as full rank.
 """
 
 import pickle
@@ -26,7 +27,7 @@ from repro.engine import Planner, Server
 from repro.engine.planner import REFERENCE_PRIVACY, REFERENCE_PRIVACY_PURE, TIE_TOLERANCE
 from repro.exceptions import SingularStrategyError, WorkloadError
 from repro.mechanisms import MatrixMechanism
-from repro.utils.linalg import rank_checked_cholesky, trace_ratio
+from repro.utils.linalg import SPECTRUM_CUTOFF, rank_checked_cholesky
 from repro.workloads import (
     all_range_queries_1d,
     available_workloads,
@@ -51,12 +52,23 @@ def _singular_design_workload():
     return permuted_workload(kway_marginals([4, 4, 4, 6], 2), random_state=SINGULAR_DESIGN_SEED)
 
 
+def _oracle_trace(workload, strategy):
+    """``trace(W^T W (A^T A)^+)``: a ``cho_solve`` at full rank, else
+    ``||W A^+||_F^2`` from the SVD pseudo-inverse of ``A``, with singular
+    values below ``sqrt(SPECTRUM_CUTOFF)`` of the largest taken as zero (the
+    eigenvalue cutoff of ``A^T A``)."""
+    factor = rank_checked_cholesky(strategy.gram)
+    if factor is not None:
+        return float(np.trace(scipy.linalg.cho_solve((factor, False), workload.gram)))
+    pinv = np.linalg.pinv(strategy.matrix, rtol=np.sqrt(SPECTRUM_CUTOFF))
+    return float(np.sum((workload.matrix @ pinv) ** 2))
+
+
 def _oracle_error(workload, strategy, params):
-    """Prop. 4 / Sec. 3.5 priced densely: ``trace_ratio`` of the two Grams
-    (a ``cho_solve`` or the guarded pseudo-inverse) and the sensitivity read
-    off the columns of ``A``."""
+    """Prop. 4 / Sec. 3.5 priced densely: :func:`_oracle_trace` and the
+    sensitivity read off the columns of ``A``."""
     matrix = strategy.matrix
-    trace = trace_ratio(workload.gram, strategy.gram)
+    trace = _oracle_trace(workload, strategy)
     if params.is_approximate:
         sensitivity = np.sqrt(np.max(np.sum(matrix**2, axis=0)))
         variance = params.variance_factor
@@ -160,8 +172,8 @@ def test_a_clear_winner_is_chosen_whatever_its_rows():
 def test_numerically_singular_design_is_not_full_rank():
     workload = _singular_design_workload()
     strategy = eigen_design(workload).strategy
-    assert strategy.rank < workload.column_count
-    assert strategy.normal_factor is False
+    assert strategy.rank == strategy.normal_factor.rank == 87 < workload.column_count
+    assert strategy.normal_factor.factor.shape == (87, workload.column_count)
     assert rank_checked_cholesky(strategy.gram) is None
     assert not strategy.supports(np.eye(workload.column_count))
     assert strategy.supports(workload.gram)
@@ -182,7 +194,7 @@ def test_singular_design_releases_through_its_row_space():
     data = np.random.default_rng(0).poisson(40.0, workload.column_count).astype(float)
     mechanism = MatrixMechanism(strategy, PrivacyParams(0.5, 1e-6))
     result = mechanism.run(workload, data, random_state=0)
-    assert mechanism._normal_factor is False
+    assert strategy.normal_factor.rank < workload.column_count
     # A solve through a near-singular factor put ~1e9 into the estimate.
     assert np.abs(result.estimate).max() < 1e4
     with pytest.raises(SingularStrategyError):
@@ -241,20 +253,51 @@ def test_cold_plan_and_first_answer_factor_the_chosen_strategy_once(workload, mo
     assert all(gram is strategy.gram for gram in calls["cholesky"])
     assert calls["cho_factor"] == []
     # Nothing solves against a factor of the workload's Gram.
-    assert all(factor[0] is strategy.normal_factor for factor in calls["cho_solve"])
+    assert all(factor[0] is strategy.normal_factor.factor for factor in calls["cho_solve"])
     if workload.query_count <= cells:
         assert calls["cho_solve"] == []
     # The identity candidate is priced without an n x n Gram.
     assert len(calls["identity"]) == 1 and calls["identity"][0]._gram is None
 
 
+def test_singular_design_sees_one_eigh_across_plan_answers_and_support(monkeypatch):
+    workload = _singular_design_workload()
+    cells = workload.column_count
+    decompositions = []
+
+    def recorded(original):
+        def wrapper(matrix, *args, **kwargs):
+            decompositions.append(matrix)
+            return original(matrix, *args, **kwargs)
+
+        return wrapper
+
+    for module in (np.linalg, scipy.linalg):
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(module, name, recorded(getattr(module, name)))
+    rng = np.random.default_rng(0)
+    with Server(PrivacyParams(100.0, 0.5), workers=1, random_state=0) as server:
+        for _ in range(2):
+            data = rng.poisson(40.0, cells).astype(float)
+            answer = server.ask("t", workload, epsilon=0.5, delta=1e-6, data=data)
+    strategy = answer.plan.mechanism.strategy
+    assert strategy.name == "eigen-design"
+    second = Workload(workload.matrix[:5] + workload.matrix[5:10])
+    result = answer.plan.mechanism.run(second, data, PrivacyParams(0.5, 1e-6), random_state=0)
+    assert np.abs(result.answers - second.answer(data)).max() < 1e4
+    gram = strategy.gram
+    on_gram = [m for m in decompositions if m.shape == gram.shape and np.array_equal(m, gram)]
+    assert len(on_gram) == 1
+    assert strategy.normal_factor.rank == 87
+
+
 def test_pickling_drops_the_cached_factor():
     strategy = eigen_design(prefix_workload(32)).strategy
     before = len(pickle.dumps(strategy))
-    factor = strategy.normal_factor
-    assert factor is not False
+    root = strategy.normal_factor
+    assert root.values is None
     payload = pickle.dumps(strategy)
     assert len(payload) == before
     restored = pickle.loads(payload)
     assert restored._normal_factor is None
-    np.testing.assert_array_equal(restored.normal_factor, factor)
+    np.testing.assert_array_equal(restored.normal_factor.factor, root.factor)

@@ -18,7 +18,6 @@ from repro.exceptions import SingularStrategyError
 from repro.mechanisms import (
     BudgetExceededError,
     PrivacyAccountant,
-    least_squares_estimate,
     nonnegative_least_squares_estimate,
 )
 from repro.strategies import identity_strategy, wavelet_strategy
@@ -84,24 +83,31 @@ class TestLaplaceMechanism:
         assert samples.var() == pytest.approx(2.0, rel=0.15)
 
 
+def _least_squares(matrix, answers):
+    """The estimate the matrix mechanism infers from the answers ``A x + noise``
+    of a Laplace release: ``(A^T A)^+ A^T y`` through the strategy's Gram root."""
+    return Strategy(matrix).normal_factor.solve(matrix.T @ answers)
+
+
 class TestInference:
     def test_least_squares_exact_without_noise(self, rng):
         strategy = wavelet_strategy(8).matrix
         data = rng.integers(0, 50, 8).astype(float)
-        estimate = least_squares_estimate(strategy, strategy @ data)
+        estimate = _least_squares(strategy, strategy @ data)
         np.testing.assert_allclose(estimate, data, atol=1e-8)
 
     def test_least_squares_rank_deficient(self):
         matrix = np.array([[1.0, 1.0]])
-        estimate = least_squares_estimate(matrix, np.array([4.0]))
+        estimate = _least_squares(matrix, np.array([4.0]))
         # Minimum-norm solution splits the total evenly.
         np.testing.assert_allclose(estimate, [2.0, 2.0])
 
     def test_least_squares_zero_strategy_rejected(self):
         from repro.exceptions import StrategyError
 
+        mechanism = MatrixMechanism(Strategy(np.zeros((2, 2))), PrivacyParams(1.0, 0.0))
         with pytest.raises(StrategyError):
-            least_squares_estimate(np.zeros((2, 2)), np.zeros(2))
+            mechanism.run(Workload.identity(2), np.zeros(2), random_state=0)
 
     def test_nonnegative_estimate(self):
         matrix = np.eye(3)
@@ -261,24 +267,31 @@ class TestMatrixMechanismPlanConstants:
             assert result.estimate.shape == (8,)
         assert reads == []
 
-    def test_rank_deficient_strategy_keeps_the_lstsq_path(self, privacy, rng, monkeypatch):
-        import repro.mechanisms.matrix_mechanism as matrix_module
-
+    def test_rank_deficient_strategy_root_release(self, privacy, rng, monkeypatch):
         strategy = Strategy(np.kron(np.eye(2), np.ones((1, 4))))
         workload = Workload(np.array([[1.0, 1, 1, 1, 1, 1, 1, 1]]))
-        calls = []
-
-        def counted(matrix, noisy, **options):
-            calls.append(matrix.shape)
-            return least_squares_estimate(matrix, noisy, **options)
-
-        monkeypatch.setattr(matrix_module, "least_squares_estimate", counted)
         mechanism = MatrixMechanism(strategy, privacy)
+        mechanism.run(workload, np.arange(8.0), random_state=rng)
+        reads = []
+        matrix = Strategy.matrix
+
+        def counted(self):
+            reads.append("matrix")
+            return matrix.fget(self)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the root release must not call lstsq")
+
+        monkeypatch.setattr(Strategy, "matrix", property(counted))
+        monkeypatch.setattr(np.linalg, "lstsq", refused)
         for _ in range(3):
             result = mechanism.run(workload, np.arange(8.0), random_state=rng)
-        assert calls == [(2, 8)] * 3
-        assert mechanism._normal_factor is False
-        # The L2 sensitivity is read off A itself: every column norm is 1.
+        assert reads == []
+        # A rank-2 root: two noisy block totals, spread evenly over each block.
+        assert strategy.normal_factor.factor.shape == (2, 8)
+        assert np.ptp(result.estimate[:4]) < 1e-9 and np.ptp(result.estimate[4:]) < 1e-9
+        # The L2 sensitivity is read off the root, whose column norms are
+        # A's: every one is 1.
         assert result.noise_scale == pytest.approx(privacy.gaussian_scale(1.0), rel=1e-12)
 
     @pytest.mark.parametrize("privacy", [PrivacyParams(0.5, 1e-4), PrivacyParams(0.5, 0.0)])

@@ -74,6 +74,13 @@ class TestEigenQuerySeparation:
             warnings.simplefilter("error", ConvergenceWarning)
             result = eigen_query_separation(workload, factorized=False)
         assert result.diagnostics["groups"] == 55
+        assert result.solution.converged
+
+    def test_an_uncertified_stage_solve_is_reported(self):
+        workload = all_range_queries_1d(64, materialize=True)
+        with pytest.warns(ConvergenceWarning):
+            result = eigen_query_separation(workload, max_iterations=1)
+        assert not result.solution.converged
 
 
 class TestPrincipalVectors:

@@ -5,8 +5,8 @@ numerically singular Grams: a rank-87 eigen design over 384 cells factors
 with pivots near 1e-15, and a solve through that factor amplifies noise by
 about 1e8.  So the package factors a Gram in exactly one place,
 ``repro.utils.linalg.rank_checked_cholesky``, which adds LAPACK's condition
-estimate, and a strategy shares its one factor through
-``Strategy.normal_factor`` (architecture §5).
+estimate, and a strategy shares its one Gram root, this factor at full
+rank, through ``Strategy.normal_factor`` (architecture §5).
 
 Flagged: any call named ``cholesky`` or ``cho_factor`` outside that
 helper's body, in every module.
