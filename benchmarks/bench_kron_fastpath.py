@@ -1,7 +1,7 @@
 """Micro-benchmark: dense vs factorized Kronecker fast paths.
 
 Tracks the perf trajectory of the structured-operator layer across PRs.
-Three sections:
+Five sections:
 
 * **eigh** — dense ``O(n^3)`` eigendecomposition of the ``np.kron`` Gram vs
   the per-factor factorized decomposition;
@@ -13,9 +13,9 @@ Three sections:
 * **reductions** — the Sec. 4.2 reductions (principal vectors and
   eigen-query separation with its lazy ``GroupColumnOperator`` stage 2),
   dense eigen-query matrix vs the matrix-free ``KroneckerConstraints`` path;
-* **recycled_trace** — the Krylov-recycling machinery: the stochastic
-  completed-design trace evaluated twice on the same strategy, tracking the
-  wall-clock and PCG-iteration drop of the recycled second evaluation;
+* **repeated_trace** — the stochastic completed-design trace evaluated
+  twice on the same strategy: the repeat returns the remembered float
+  without a single PCG solve;
 * **engine_plan_cache** — the engine layer: a cold planner run (strategy
   optimization included) vs. a warm content-addressed
   :class:`~repro.engine.cache.PlanCache` hit on a structurally identical
@@ -80,11 +80,10 @@ COMPLETED_CASES_QUICK = (((8, 8, 8), 16),)
 #: sizes, and the rows assert it stays that way.
 REDUCTION_DENSE_SHAPE = (16, 16, 8)
 
-#: Recycled-trace shapes: the stochastic completed-design trace evaluated
-#: twice on the same strategy (clears the recycler registry first, so the
-#: first evaluation is honestly cold).
-RECYCLED_SHAPES = ((16, 16, 16),)
-RECYCLED_SHAPES_QUICK = ((8, 8, 8),)
+#: Repeated-trace shapes: the stochastic completed-design trace evaluated
+#: twice on the same freshly designed strategy.
+REPEATED_SHAPES = ((16, 16, 16),)
+REPEATED_SHAPES_QUICK = ((8, 8, 8),)
 
 #: The acceptance bar tracked across PRs (eigh and completed trace alike).
 TARGET_SPEEDUP = 10.0
@@ -282,44 +281,50 @@ def _reduction_rows(shape=REDUCTION_DENSE_SHAPE, repeats=3) -> list[dict]:
     return rows
 
 
-def _recycled_trace_rows(shapes) -> list[dict]:
-    """First vs second (recycled) stochastic completed-trace evaluation."""
+def _repeated_trace_rows(shapes) -> list[dict]:
+    """First vs repeated stochastic completed-trace evaluation, with solves counted."""
     import repro.core.error as error_module
 
+    solves = [0]
+    pcg_solve = error_module.pcg_solve
+
+    def counted(*args, **kwargs):
+        solves[0] += 1
+        return pcg_solve(*args, **kwargs)
+
     rows = []
-    for shape in shapes:
-        workload = all_range_queries(list(shape))
-        design = eigen_design(workload, factorized=True, complete=True)
-        operator = design.strategy.gram_operator
-        error_module.clear_trace_recyclers()
-        _clear_eigh_cache()
-        first_seconds, first_value = _time(
-            lambda: error_module._stochastic_completed_trace(
-                workload.gram_operator, operator
+    error_module.pcg_solve = counted
+    try:
+        for shape in shapes:
+            workload = all_range_queries(list(shape))
+            design = eigen_design(workload, factorized=True, complete=True)
+            operator = design.strategy.gram_operator
+            _clear_eigh_cache()
+            solves[0] = 0
+            first_seconds, first_value = _time(
+                lambda: error_module._stochastic_completed_trace(
+                    workload.gram_operator, operator
+                )
             )
-        )
-        first_stats = dict(error_module.STOCHASTIC_TRACE_LAST)
-        second_seconds, second_value = _time(
-            lambda: error_module._stochastic_completed_trace(
-                workload.gram_operator, operator
+            first_solves, solves[0] = solves[0], 0
+            repeat_seconds, repeat_value = _time(
+                lambda: error_module._stochastic_completed_trace(
+                    workload.gram_operator, operator
+                )
             )
-        )
-        second_stats = dict(error_module.STOCHASTIC_TRACE_LAST)
-        rows.append(
-            {
-                "shape": list(shape),
-                "cells": workload.column_count,
-                "first_seconds": first_seconds,
-                "second_seconds": second_seconds,
-                "speedup": first_seconds / max(second_seconds, 1e-12),
-                "first_column_iterations": first_stats["column_iterations"],
-                "second_column_iterations": second_stats["column_iterations"],
-                "recycled_sketch": second_stats["recycled_sketch"],
-                "relative_deviation": float(
-                    abs(second_value - first_value) / max(abs(first_value), 1e-12)
-                ),
-            }
-        )
+            rows.append(
+                {
+                    "shape": list(shape),
+                    "cells": workload.column_count,
+                    "first_seconds": first_seconds,
+                    "repeat_seconds": repeat_seconds,
+                    "first_pcg_solves": first_solves,
+                    "repeat_pcg_solves": solves[0],
+                    "identical": repeat_value == first_value,
+                }
+            )
+    finally:
+        error_module.pcg_solve = pcg_solve
     return rows
 
 
@@ -386,13 +391,13 @@ def run() -> dict:
         # scaled-down one): the factorized-vs-dense ratio is what the row
         # asserts, and at toy sizes it is pure timing noise.
         reduction_rows = _reduction_rows()
-        recycled_rows = _recycled_trace_rows(RECYCLED_SHAPES_QUICK)
+        repeated_rows = _repeated_trace_rows(REPEATED_SHAPES_QUICK)
         engine_rows = _engine_rows(ENGINE_SHAPES_QUICK)
     else:
         eigh_rows = _eigh_rows(DENSE_SHAPES, FACTORIZED_ONLY_SHAPES)
         completed_rows = _completed_trace_rows(COMPLETED_CASES)
         reduction_rows = _reduction_rows()
-        recycled_rows = _recycled_trace_rows(RECYCLED_SHAPES)
+        repeated_rows = _repeated_trace_rows(REPEATED_SHAPES)
         engine_rows = _engine_rows(ENGINE_SHAPES)
 
     slow = [row for row in reduction_rows if row["speedup"] < 1.0]
@@ -401,6 +406,12 @@ def run() -> dict:
         "acceptance shape: "
         + "; ".join(f"{row['method']}: {row['speedup']:.3f}x" for row in slow)
     )
+
+    # The repeat on the same strategy returns the remembered float without
+    # a single PCG solve.
+    for row in repeated_rows:
+        assert row["first_pcg_solves"] > 0, row
+        assert row["repeat_pcg_solves"] == 0 and row["identical"], row
 
     largest_eigh = _largest_dense(eigh_rows)
     largest_completed = _largest_dense(completed_rows)
@@ -419,7 +430,7 @@ def run() -> dict:
             "rows": completed_rows,
         },
         "reductions": {"rows": reduction_rows},
-        "recycled_trace": {"rows": recycled_rows},
+        "repeated_trace": {"rows": repeated_rows},
         "engine_plan_cache": {"rows": engine_rows},
     }
     if not QUICK:
@@ -442,7 +453,7 @@ def test_kron_fastpath_speedup():
     assert completed["speedup_at_largest_dense"] >= TARGET_SPEEDUP
     for row in completed["rows"]:
         # The exact Woodbury path matches the dense oracle tightly; the
-        # stochastic fallback is an estimator with documented knobs.
+        # stochastic fallback is an estimator on fixed constants.
         bound = 1e-8 if row["path"] == "woodbury-exact" else 1e-2
         assert row["relative_trace_deviation"] <= bound
     for row in report["reductions"]["rows"]:
@@ -452,12 +463,6 @@ def test_kron_fastpath_speedup():
         # even at dense-feasible sizes — the small-domain regression the
         # slice densification retired must stay retired.
         assert row["speedup"] >= 1.0, f"{row['method']}: {row['speedup']:.3f}x"
-    for row in report["recycled_trace"]["rows"]:
-        # The recycled second evaluation must use measurably fewer PCG
-        # iterations (the Galerkin guess restarts it essentially converged).
-        assert row["second_column_iterations"] < row["first_column_iterations"]
-        assert row["recycled_sketch"]
-        assert row["relative_deviation"] <= 1e-6
     for row in report["engine_plan_cache"]["rows"]:
         # A structurally identical workload must hit the plan cache and skip
         # strategy optimization entirely.

@@ -68,11 +68,10 @@ def main() -> None:
     print()
     print(format_table(rows, precision=4, title="Cumulative guarantee of the 4 releases"))
 
-    # 3. The error cost of splitting the budget.  Note that evaluating the
-    # same strategy under several budgets re-evaluates one error trace many
-    # times; on large factorized domains the trace machinery recycles its
-    # Krylov information across those evaluations, so only the first one
-    # pays the full iteration count (see docs/performance.md).
+    # 3. The error cost of splitting the budget.  The budget only scales the
+    # error (Prop. 4): the trace term depends on the workload and the
+    # strategy alone, so on large factorized domains the strategy remembers
+    # it and only the first evaluation pays for it (see docs/performance.md).
     workloads = {
         "all 1-D ranges (256 cells)": all_range_queries_1d(256),
         "2-way marginals (8x8x8)": kway_marginals([8, 8, 8], 2),
@@ -96,8 +95,8 @@ def main() -> None:
     )
 
     # 4. The same scan at production scale (n = 4096, beyond the dense
-    # budget): the first evaluation runs the stochastic trace cold, every
-    # further budget candidate reuses its recycled Krylov state.
+    # budget): the first evaluation runs the stochastic trace, every further
+    # budget candidate reuses the trace the strategy remembers.
     workload = all_range_queries([16, 16, 16])
     strategy = eigen_design(workload).strategy
     timings = []
@@ -117,7 +116,7 @@ def main() -> None:
         format_table(
             timings,
             precision=3,
-            title="Budget scan at n=4096: the first trace is cold, the rest recycle",
+            title="Budget scan at n=4096: the first trace is computed, the rest remembered",
         )
     )
 

@@ -9,10 +9,10 @@ per-attribute eigendecompositions instead of one O(n^3) dense one, and no
 n x n allocation anywhere (the separation method's stage-2 group columns
 included, via the lazy GroupColumnOperator).
 
-The knobs this example exercises — the materialization budgets, the
-STOCHASTIC_TRACE estimator controls, the Krylov-recycling switches — are
-documented with the measured speedups in docs/performance.md; the dispatch
-flowchart behind the auto-switch lives in docs/architecture.md.
+The knobs this example exercises — the materialization budgets — and the
+stochastic trace's fixed constants are documented with the measured
+speedups in docs/performance.md; the dispatch flowchart behind the
+auto-switch lives in docs/architecture.md.
 
 Run with:  python examples/performance_tuning.py
 """
@@ -110,7 +110,7 @@ def main() -> None:
     # error, and since the Woodbury/CG machinery it runs beyond the budget
     # too: the completion diagonal is a rank-r correction served by exact
     # eigenbasis solves, or a preconditioned-CG + Hutch++ stochastic trace
-    # (knobs in repro.core.error.STOCHASTIC_TRACE) when r is large.
+    # when r is large.
     bare = eigen_design(workload, complete=False)
     bare_error = expected_workload_error(workload, bare.strategy, privacy)
     print(f"\nWithout completion the same design measures {bare_error:.2f} — the")
@@ -121,14 +121,13 @@ def main() -> None:
     print("dense solve by >=10x (see BENCH_kron_fastpath.json).")
 
     # Re-evaluating the same strategy (e.g. scanning privacy budgets) is
-    # nearly free: the stochastic trace recycles its Hutch++ sketch and
-    # Krylov information, so only the first evaluation pays the iteration
-    # count.  docs/performance.md documents the knobs.
+    # nearly free: the trace depends only on the workload and the strategy,
+    # and the strategy remembers the last one it computed.
     start = time.perf_counter()
     expected_workload_error(workload, design.strategy, privacy)
-    recycled_seconds = time.perf_counter() - start
-    print(f"\nA second error evaluation of the same design takes {recycled_seconds * 1000:.0f} ms")
-    print("(Krylov recycling: the re-evaluation runs ~zero PCG iterations).")
+    repeat_seconds = time.perf_counter() - start
+    print(f"\nA second error evaluation of the same design takes {repeat_seconds * 1000:.1f} ms")
+    print("(the strategy remembers its trace: the re-evaluation runs no PCG solve).")
 
 
 if __name__ == "__main__":

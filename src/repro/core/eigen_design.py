@@ -16,8 +16,8 @@ Every step has a dense and a *factorized* (matrix-free) realisation; the
 ``factorized`` parameter and the :func:`prefer_factorized` auto-switch pick
 between them.  ``docs/architecture.md`` documents the operator protocol and
 the decision flowchart for which path runs when; ``docs/performance.md``
-documents the tuning knobs (materialization budgets, stochastic-trace and
-Krylov-recycling controls) and the measured speedups.
+documents the tuning knobs (materialization budgets), the stochastic
+trace's constants and the measured speedups.
 """
 
 from __future__ import annotations
@@ -177,10 +177,9 @@ def eigen_design(
     -----
     Error evaluation of the returned strategy stays matrix-free at every
     size and rank: completed designs route through the Woodbury identity or
-    the preconditioned-CG + Hutch++ estimator, and repeated evaluations of
-    the same strategy recycle their Krylov information (see
-    ``docs/performance.md`` and
-    :data:`repro.core.error.STOCHASTIC_TRACE`).
+    the preconditioned-CG + Hutch++ estimator.  The strategy remembers its
+    last stochastic trace, so repeated evaluations of it (a budget scan) run
+    no solve (see ``docs/performance.md``).
     """
     if factorized is None:
         factorized = prefer_factorized(workload)

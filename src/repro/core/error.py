@@ -15,11 +15,6 @@ way so that ratios of measured error to the bound are directly comparable.
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import threading
-from collections import OrderedDict
-
 import numpy as np
 
 from repro.core.privacy import PrivacyParams
@@ -28,7 +23,6 @@ from repro.core.workload import Workload
 from repro.exceptions import MaterializationError, SingularStrategyError
 from repro.utils.linalg import (
     SPECTRUM_CUTOFF,
-    DeflationSpace,
     GramRoot,
     hutchpp_trace,
     pcg_solve,
@@ -55,9 +49,6 @@ __all__ = [
     "approximation_ratio",
     "approximation_ratio_bound",
     "workload_strategy_trace",
-    "clear_trace_recyclers",
-    "STOCHASTIC_TRACE",
-    "STOCHASTIC_TRACE_LAST",
 ]
 
 #: Default privacy setting used throughout the paper's experiments.
@@ -67,119 +58,16 @@ DEFAULT_PRIVACY = PrivacyParams(epsilon=0.5, delta=1e-4)
 #: means the strategy cannot answer the workload.
 _SUPPORT_TOLERANCE = 1e-6
 
-#: Knobs for the preconditioned-CG + Hutch++ stochastic trace fallback, used
-#: for completed designs whose completion rank is too large for the exact
-#: Woodbury path.  ``samples`` is the total Hutch++ matvec budget (each matvec
-#: is one CG solve); ``samples >= 3 n`` makes the estimate exact up to
-#: ``tolerance``.  ``recycle`` turns the Krylov-recycling machinery on:
-#: repeated evaluations of the *same* (workload, strategy) pair reuse the
-#: Hutch++ sketch basis and seed every CG solve from a
-#: :class:`~repro.utils.linalg.DeflationSpace` holding up to
-#: ``deflation_rank`` earlier solution directions, so re-evaluations converge
-#: in a fraction of the original iteration count (see
-#: ``docs/performance.md``).  Mutate in place to trade accuracy against time,
-#: e.g. ``repro.core.error.STOCHASTIC_TRACE["samples"] = 192``.
-STOCHASTIC_TRACE = {
-    "samples": 96,
-    "tolerance": 1e-8,
-    "max_iterations": 2000,
-    "seed": 0,
-    "recycle": True,
-    "deflation_rank": 192,
-}
-
-#: Read-only diagnostics of the most recent stochastic trace evaluation:
-#: ``column_iterations`` (total per-column CG iterations — the honest work
-#: measure), ``solves`` (batched CG calls), ``unconverged`` columns,
-#: ``recycled_sketch`` and ``deflation_vectors``.  Overwritten in place on
-#: every call; consumed by the recycling tests and the benchmark.
-STOCHASTIC_TRACE_LAST: dict = {}
-
-#: Content-addressed registry of per-(workload, strategy) recycling state.
-#: Bounded with least-recently-used eviction so a sweep over many strategies
-#: cannot pin unbounded basis memory; each entry holds at most
-#: ``n * (2 * deflation_rank + samples // 3)`` floats (deflation basis, its
-#: operator image, and the cached Hutch++ sketch basis).
-_TRACE_RECYCLERS: "OrderedDict[tuple, _TraceRecycler]" = OrderedDict()
-_TRACE_RECYCLER_LIMIT = 4
-#: Guards the registry's structure (lookup, insert, LRU move, eviction,
-#: clear).  The registry is process-global shared state; without the lock two
-#: server sessions evaluating traces concurrently can corrupt the OrderedDict
-#: mid-eviction.  The lock covers only the *registry* — mutating Krylov state
-#: inside one recycler is serialized separately per recycler (see
-#: ``_TraceRecycler.lock``), so distinct pairs still recycle in parallel.
-_TRACE_RECYCLER_REGISTRY_LOCK = threading.Lock()
-
-
-class _TraceRecycler:
-    """Krylov state shared by repeated evaluations of one trace.
-
-    ``lock`` serializes *use* of the recycled state (the deflation space and
-    sketch basis mutate during a solve); distinct (workload, strategy) pairs
-    hold distinct recyclers and therefore evaluate concurrently.
-    """
-
-    __slots__ = ("deflation", "sketch", "evaluations", "lock")
-
-    def __init__(self, deflation_rank: int):
-        self.deflation = DeflationSpace(max_vectors=deflation_rank)
-        self.sketch: dict = {}
-        self.evaluations = 0
-        self.lock = threading.Lock()
-
-
-def clear_trace_recyclers() -> None:
-    """Release all recycled Krylov state (the content-addressed registry).
-
-    Each registry slot pins ``O(n * (2 * deflation_rank + samples // 3))``
-    floats for the process lifetime (evicted only when more-recently-used
-    pairs fill the registry).
-    Call this after a sweep over huge domains to hand the memory back, or
-    set ``STOCHASTIC_TRACE["recycle"] = False`` to opt out entirely.
-    """
-    with _TRACE_RECYCLER_REGISTRY_LOCK:
-        _TRACE_RECYCLERS.clear()
-
-
-def _content_digest(array: np.ndarray) -> str:
-    array = np.ascontiguousarray(np.asarray(array, dtype=float))
-    return hashlib.sha1(array.tobytes()).hexdigest()
-
-
-def _trace_recycler(
-    workload_op: KroneckerOperator, strategy_op: EigenDiagOperator
-) -> "_TraceRecycler | None":
-    """The recycling state for this exact (workload, strategy) pair, or None.
-
-    Keyed by *content* (factor Grams, basis factors, spectrum, completion
-    diagonal and the sample budget) in the same spirit as the
-    content-addressed factor-eigh memo, so distinct objects rebuilt from
-    identical data — a budget-management loop re-running ``eigen_design`` +
-    error evaluation — still share the Krylov state.
-    """
-    if not STOCHASTIC_TRACE.get("recycle", True):
-        return None
-    parts = [_content_digest(f) for f in workload_op.factors]
-    parts += [_content_digest(v) for v in strategy_op.basis.vector_factors]
-    parts.append(_content_digest(strategy_op.spectrum))
-    parts.append(_content_digest(strategy_op.diag))
-    # The estimator knobs are part of the identity: a different seed must
-    # not reuse the old seed's sketch (replicates would be silently
-    # correlated), and a different deflation budget must build a new space.
-    parts.append(str(int(STOCHASTIC_TRACE["samples"])))
-    parts.append(str(int(STOCHASTIC_TRACE["seed"])))
-    parts.append(str(int(STOCHASTIC_TRACE["deflation_rank"])))
-    key = tuple(parts)
-    with _TRACE_RECYCLER_REGISTRY_LOCK:
-        recycler = _TRACE_RECYCLERS.get(key)
-        if recycler is None:
-            recycler = _TraceRecycler(int(STOCHASTIC_TRACE["deflation_rank"]))
-            _TRACE_RECYCLERS[key] = recycler
-            while len(_TRACE_RECYCLERS) > _TRACE_RECYCLER_LIMIT:
-                _TRACE_RECYCLERS.popitem(last=False)
-        else:
-            _TRACE_RECYCLERS.move_to_end(key)
-    return recycler
+#: Constants of the preconditioned-CG + Hutch++ stochastic trace, used for
+#: completed designs whose completion rank is too large for the exact
+#: Woodbury path.  ``_TRACE_SAMPLES`` is the total Hutch++ matvec budget
+#: (each matvec is one CG solve); ``_TRACE_SAMPLES >= 3 n`` makes the estimate
+#: exact up to ``_TRACE_TOLERANCE``, the per-column relative CG residual
+#: target.
+_TRACE_SAMPLES = 96
+_TRACE_TOLERANCE = 1e-8
+_TRACE_MAX_ITERATIONS = 2000
+_TRACE_SEED = 0
 
 
 def _eigen_diag_trace(workload_op: KroneckerOperator, strategy_op: EigenDiagOperator) -> float:
@@ -223,8 +111,8 @@ def _completed_trace(
     where the completion is heavy (``r`` a sizable fraction of ``n``): there
     the ``O(n r^2)`` capacitance work matches the dense ``O(n^3)`` solve, so
     the budget-feasible dense path is preferred.  Beyond the budget, a
-    Jacobi-preconditioned CG + Hutch++ stochastic estimate (knobs in
-    :data:`STOCHASTIC_TRACE`) serves every spectrum matrix-free —
+    Jacobi-preconditioned CG + Hutch++ stochastic estimate serves every
+    spectrum matrix-free —
     rank-deficient ones included, through the null-space-projected singular
     CG formulation (see :func:`_stochastic_completed_trace`) — so the only
     time this returns ``None`` is when dense is genuinely preferable.
@@ -249,11 +137,14 @@ def _stochastic_completed_trace(
 ) -> float:
     """Hutch++ estimate of ``trace(G_W^{1/2} M^+ G_W^{1/2})`` via CG solves.
 
-    Every operation is a structured matvec, so the solve itself allocates
-    nothing larger than a few ``n``-vectors regardless of the completion
-    rank; with recycling on (the default) the registry additionally retains
-    ``O(n * deflation_rank)`` floats per recycled pair — see
-    :func:`clear_trace_recyclers` to release it.
+    Every operation is a structured matvec, so the solve allocates nothing
+    larger than a few ``n x samples`` blocks regardless of the completion
+    rank.  The estimate runs on fixed constants (``_TRACE_SAMPLES`` probes,
+    seed ``_TRACE_SEED``), so it is a deterministic function of the workload
+    and the strategy; the strategy operator remembers its last result
+    (:meth:`~repro.utils.operators.EigenDiagOperator.remembered_trace`), and
+    re-evaluating it against equal workload factors — a budget scan — runs
+    no solve at all.
 
     Rank-deficient spectra are served through the *null-space-projected*
     singular formulation: in basis coordinates ``M' = diag(z) + R diag(c)
@@ -268,14 +159,10 @@ def _stochastic_completed_trace(
     the whole row is zero); residual unsupported mass shows up as CG columns
     that stall above tolerance, and both raise
     :class:`~repro.exceptions.SingularStrategyError`.
-
-    When :data:`STOCHASTIC_TRACE`'s ``recycle`` knob is on (the default),
-    repeated evaluations of the same (workload, strategy) pair reuse the
-    Hutch++ sketch basis and seed every CG solve from the content-addressed
-    :class:`~repro.utils.linalg.DeflationSpace`, dropping the iteration
-    count of re-evaluations by an order of magnitude or more (tracked in
-    :data:`STOCHASTIC_TRACE_LAST` and ``BENCH_kron_fastpath.json``).
     """
+    remembered = strategy_op.remembered_trace(workload_op.factors)
+    if remembered is not None:
+        return remembered
     sqrt_factors = []
     for w_factor in workload_op.factors:
         values, vectors = _cached_factor_eigh(w_factor)
@@ -313,19 +200,7 @@ def _stochastic_completed_trace(
                 "strategy does not support the workload: the workload row "
                 "space is not contained in the (completed) strategy row space"
             )
-    tolerance = float(STOCHASTIC_TRACE["tolerance"])
-    max_iterations = int(STOCHASTIC_TRACE["max_iterations"])
-    recycler = _trace_recycler(workload_op, strategy_op)
-    deflation = recycler.deflation if recycler is not None else None
-    sketch = recycler.sketch if recycler is not None else None
-    recycled_sketch = bool(sketch) if sketch is not None else False
-    totals = {
-        "column_iterations": 0,
-        "solves": 0,
-        "unconverged": 0,
-        "operator_applications": 0,
-        "deflation_vectors": 0,
-    }
+    unconverged = 0
 
     def gram_in_basis(coordinates: np.ndarray) -> np.ndarray:
         lifted = basis.apply(coordinates)
@@ -335,54 +210,34 @@ def _stochastic_completed_trace(
         return diag_part + back
 
     def apply_inverse_quadratic(batch: np.ndarray) -> np.ndarray:
+        nonlocal unconverged
         lifted = sqrt_op.matvec(batch)
         solve_stats: dict = {}
         solved = pcg_solve(
             gram_in_basis,
             basis.apply_transpose(lifted),
             preconditioner=preconditioner,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            deflation=deflation,
+            tolerance=_TRACE_TOLERANCE,
+            max_iterations=_TRACE_MAX_ITERATIONS,
             stats=solve_stats,
         )
-        totals["solves"] += 1
-        totals["column_iterations"] += solve_stats["column_iterations"]
-        totals["unconverged"] += solve_stats["unconverged"]
-        totals["operator_applications"] += solve_stats["operator_applications"]
-        # The basis size that actually *seeded* a solve (pre-absorb): a cold
-        # evaluation honestly reports 0 even though absorption fills the
-        # space for the next one.
-        totals["deflation_vectors"] = max(
-            totals["deflation_vectors"], solve_stats["deflation_vectors"]
-        )
+        unconverged += solve_stats["unconverged"]
         return sqrt_op.matvec(basis.apply(solved))
 
-    rng = np.random.default_rng(STOCHASTIC_TRACE["seed"])
-    # Recycled Krylov state mutates during the solve, so its use is
-    # serialized per recycler (distinct pairs still evaluate in parallel).
-    lock = recycler.lock if recycler is not None else contextlib.nullcontext()
-    with lock:
-        estimate = hutchpp_trace(
-            apply_inverse_quadratic,
-            strategy_op.shape[0],
-            samples=int(STOCHASTIC_TRACE["samples"]),
-            rng=rng,
-            sketch=sketch,
-        )
-        if recycler is not None:
-            recycler.evaluations += 1
-    STOCHASTIC_TRACE_LAST.clear()
-    STOCHASTIC_TRACE_LAST.update(totals)
-    STOCHASTIC_TRACE_LAST["recycled_sketch"] = recycled_sketch
-    STOCHASTIC_TRACE_LAST["rank_deficient"] = rank_deficient
-    if rank_deficient and totals["unconverged"]:
+    estimate = hutchpp_trace(
+        apply_inverse_quadratic,
+        strategy_op.shape[0],
+        samples=_TRACE_SAMPLES,
+        rng=np.random.default_rng(_TRACE_SEED),
+    )
+    if rank_deficient and unconverged:
         raise SingularStrategyError(
             "CG stalled on a rank-deficient completed strategy: the workload "
             "row space is (numerically) not contained in the completed "
-            "strategy row space.  If the spectrum is merely ill-conditioned, "
-            "raise repro.core.error.STOCHASTIC_TRACE['max_iterations']"
+            "strategy row space, or the spectrum is too ill-conditioned for "
+            f"{_TRACE_MAX_ITERATIONS} CG iterations"
         )
+    strategy_op.remember_trace(workload_op.factors, estimate)
     return estimate
 
 

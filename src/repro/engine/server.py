@@ -6,11 +6,11 @@ architecture.md`` §6): it owns **one** shared :class:`~repro.engine.planner
 :class:`~repro.engine.cache.PlanCache`), hands out per-tenant budgeted
 :class:`~repro.engine.session.Session` objects, and answers requests from a
 thread pool.  Everything the sessions share — the accountants, the plan
-cache, the planner's build gates, the factor-``eigh`` memo, the Krylov
-recycler registry — is lock-protected at its own layer, so the server adds
-no global serialization of its own: distinct tenants (and distinct workload
-shapes) plan, execute and account fully in parallel, while the *same* warm
-shape is optimized exactly once and then served from the cache by everyone.
+cache, the planner's build gates, the factor-``eigh`` memo — is
+lock-protected at its own layer, so the server adds no global serialization
+of its own: distinct tenants (and distinct workload shapes) plan, execute and
+account fully in parallel, while the *same* warm shape is optimized exactly
+once and then served from the cache by everyone.
 
 Two shard-parallel paths exploit numpy's GIL release for large requests:
 

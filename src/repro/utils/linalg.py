@@ -9,13 +9,10 @@ encode the conventions of the matrix mechanism:
 
 Besides the dense helpers, this module hosts the *iterative* solve substrate
 of the structured fast path: a batched Jacobi-preconditioned conjugate
-gradient (:func:`pcg_solve`), the Hutch++ stochastic trace estimator
-(:func:`hutchpp_trace`), and the Krylov-recycling machinery
-(:class:`DeflationSpace`) that lets repeated solves against the *same*
-operator — e.g. budget-management loops re-evaluating one strategy's error
-many times — converge in a fraction of the original iteration count.  See
-``docs/architecture.md`` for where each piece sits in the operator subsystem
-and ``docs/performance.md`` for the tuning knobs.
+gradient (:func:`pcg_solve`) and the Hutch++ stochastic trace estimator
+(:func:`hutchpp_trace`).  See ``docs/architecture.md`` for where each piece
+sits in the operator subsystem and ``docs/performance.md`` for the
+estimator's constants.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ __all__ = [
     "GramRoot",
     "solve_psd",
     "pcg_solve",
-    "DeflationSpace",
     "hutchpp_trace",
     "psd_project",
     "kron_all",
@@ -276,112 +272,6 @@ def solve_psd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return GramRoot(symmetrize(gram)).solve(rhs)
 
 
-class DeflationSpace:
-    """A recyclable Krylov subspace for repeated solves with one operator.
-
-    Budget-management loops evaluate the error of the *same* strategy many
-    times (one evaluation per candidate privacy split); each evaluation runs
-    the same batched CG solves from scratch.  A ``DeflationSpace`` harvests
-    the solution vectors of earlier :func:`pcg_solve` calls and serves a
-    Galerkin (A-optimal) initial guess for later ones: if a new right-hand
-    side lies in the span of previously solved systems — which it does
-    exactly when the same strategy is re-evaluated with the same estimator
-    seed — the guess is already the solution and CG converges in zero
-    iterations.
-
-    Parameters
-    ----------
-    max_vectors:
-        Cap on the stored basis size; the oldest directions are evicted
-        first.  Memory is ``2 * n * max_vectors`` floats (the orthonormal
-        basis and its image under the operator).
-    drop_tolerance:
-        New directions whose component orthogonal to the stored basis is
-        below ``drop_tolerance`` times their norm are discarded (they add no
-        information).
-
-    Examples
-    --------
-    >>> matrix = np.diag(np.arange(1.0, 40.0))
-    >>> rhs = np.ones((39, 2))
-    >>> space = DeflationSpace(max_vectors=8)
-    >>> first, second = {}, {}
-    >>> x1 = pcg_solve(lambda v: matrix @ v, rhs, deflation=space, stats=first)
-    >>> x2 = pcg_solve(lambda v: matrix @ v, rhs, deflation=space, stats=second)
-    >>> bool(second["iterations"] < first["iterations"])
-    True
-    >>> bool(np.allclose(x2, np.linalg.solve(matrix, rhs)))
-    True
-    """
-
-    def __init__(self, max_vectors: int = 192, drop_tolerance: float = 1e-8):
-        self.max_vectors = int(max_vectors)
-        self.drop_tolerance = float(drop_tolerance)
-        self.basis: np.ndarray | None = None
-        self.applied: np.ndarray | None = None
-        self._gram: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        """Number of stored directions (0 when the space is empty)."""
-        return 0 if self.basis is None else int(self.basis.shape[1])
-
-    def guess(self, rhs: np.ndarray) -> np.ndarray:
-        """The Galerkin initial guess ``U (U^T A U)^{-1} U^T rhs``.
-
-        This is the A-norm-optimal approximation of the solution within the
-        stored subspace; cost ``O(n k)`` per column for a basis of size
-        ``k``, with no operator applications (``A U`` is cached).
-        """
-        if self.basis is None:
-            raise ValueError("cannot guess from an empty deflation space")
-        rhs = np.asarray(rhs, dtype=float)
-        single = rhs.ndim == 1
-        b = rhs[:, None] if single else rhs
-        coefficients = solve_psd(self._gram, self.basis.T @ b)
-        guess = self.basis @ coefficients
-        return guess[:, 0] if single else guess
-
-    def absorb(self, solutions: np.ndarray, matvec) -> int:
-        """Add new solution directions to the space; returns how many stuck.
-
-        The solutions are orthonormalised against the stored basis;
-        directions that are (numerically) already in the span are dropped
-        without cost, so absorbing a recycled solve is free.  One batched
-        operator application is paid for the genuinely new directions (their
-        ``A``-image is cached for future guesses).
-        """
-        x = np.asarray(solutions, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        if x.size == 0:
-            return 0
-        scales = np.linalg.norm(x, axis=0)
-        if self.basis is not None:
-            x = x - self.basis @ (self.basis.T @ x)
-        fresh = np.linalg.norm(x, axis=0) > self.drop_tolerance * np.where(scales > 0, scales, 1.0)
-        x = x[:, fresh]
-        if x.shape[1] == 0:
-            return 0
-        q, r = np.linalg.qr(x)
-        diagonal = np.abs(np.diag(r))
-        keep = diagonal > self.drop_tolerance * max(float(diagonal.max(initial=0.0)), 1e-300)
-        q = q[:, keep]
-        if q.shape[1] == 0:
-            return 0
-        image = matvec(q)
-        if self.basis is None:
-            self.basis, self.applied = q, image
-        else:
-            self.basis = np.concatenate([self.basis, q], axis=1)
-            self.applied = np.concatenate([self.applied, image], axis=1)
-        if self.basis.shape[1] > self.max_vectors:
-            self.basis = self.basis[:, -self.max_vectors:]
-            self.applied = self.applied[:, -self.max_vectors:]
-        self._gram = symmetrize(self.basis.T @ self.applied)
-        return int(q.shape[1])
-
-
 def pcg_solve(
     matvec,
     rhs: np.ndarray,
@@ -389,7 +279,6 @@ def pcg_solve(
     preconditioner: np.ndarray | None = None,
     tolerance: float = 1e-10,
     max_iterations: int | None = None,
-    deflation: "DeflationSpace | None" = None,
     stats: dict | None = None,
 ) -> np.ndarray:
     """Preconditioned conjugate gradient for a positive-semidefinite operator.
@@ -408,7 +297,7 @@ def pcg_solve(
     The operator may be singular: on a *consistent* system the residual
     still converges, so CG returns *a* solution of the system.  Note the
     returned iterate's null-space component is arbitrary once a (Jacobi)
-    preconditioner or deflation guess is involved — callers on singular
+    preconditioner is involved — callers on singular
     systems must not rely on minimum-norm semantics and need an outer
     projection that annihilates the null space, which is exactly how the
     rank-deficient completed-trace path stays matrix-free (the workload
@@ -429,18 +318,9 @@ def pcg_solve(
     max_iterations:
         Hard iteration cap (default ``max(10 n, 100)`` for an ``n``-row
         system).
-    deflation:
-        Optional :class:`DeflationSpace`.  When non-empty it supplies the
-        initial guess (one extra operator application); after the solve the
-        solutions are absorbed back so later calls with related right-hand
-        sides start (nearly) converged.
     stats:
-        Optional dict, filled with ``iterations`` (batch iterations),
-        ``column_iterations`` (total per-column iterations — the honest work
-        measure when columns converge at different speeds),
-        ``operator_applications``, ``unconverged`` (columns that froze on a
-        semidefinite direction or hit the iteration cap above tolerance) and
-        ``deflation_vectors`` (basis size used for the initial guess).
+        Optional dict, filled with ``unconverged`` (columns that froze on a
+        semidefinite direction or hit the iteration cap above tolerance).
 
     Examples
     --------
@@ -464,22 +344,12 @@ def pcg_solve(
         inverse_diag = None
     norms = np.linalg.norm(b, axis=0)
     targets = tolerance * np.where(norms > 0, norms, 1.0)
-    guess_applications = 0
-    if deflation is not None and deflation.size:
-        x = deflation.guess(b)
-        if x.ndim == 1:
-            x = x[:, None]
-        residual = b - matvec(x)
-        guess_applications = 1
-    else:
-        x = np.zeros_like(b)
-        residual = b.copy()
+    x = np.zeros_like(b)
+    residual = b.copy()
     active = np.arange(b.shape[1])  # columns still iterating
     z = residual * inverse_diag if inverse_diag is not None else residual.copy()
     direction = z.copy()
     rho = np.sum(residual * z, axis=0)
-    iterations = 0
-    column_iterations = 0
     frozen = 0
     for _ in range(max_iterations):
         live = np.linalg.norm(residual, axis=0) > targets[active]
@@ -492,8 +362,6 @@ def pcg_solve(
             residual = residual[:, live]
             direction = direction[:, live]
             rho = rho[live]
-        iterations += 1
-        column_iterations += int(active.size)
         applied = matvec(direction)
         curvature = np.sum(direction * applied, axis=0)
         # Columns that hit a (numerically) semidefinite direction freeze too.
@@ -521,16 +389,8 @@ def pcg_solve(
     unconverged = frozen
     if active.size:
         unconverged += int(np.sum(np.linalg.norm(residual, axis=0) > targets[active]))
-    deflation_vectors = 0 if deflation is None else deflation.size
-    absorb_applications = 0
-    if deflation is not None:
-        absorb_applications = 1 if deflation.absorb(x, matvec) else 0
     if stats is not None:
-        stats["iterations"] = iterations
-        stats["column_iterations"] = column_iterations
-        stats["operator_applications"] = iterations + guess_applications + absorb_applications
         stats["unconverged"] = unconverged
-        stats["deflation_vectors"] = deflation_vectors
     return x[:, 0] if single else x
 
 
@@ -540,7 +400,6 @@ def hutchpp_trace(
     *,
     samples: int = 48,
     rng=None,
-    sketch: dict | None = None,
 ) -> float:
     """Hutch++ estimate of ``trace(F)`` for a symmetric PSD operator ``F``.
 
@@ -555,47 +414,25 @@ def hutchpp_trace(
     ----------
     apply_fn:
         Batched action of ``F``; three batched applications are paid per
-        estimate (sketch, head, tail) — two when the sketch is recycled.
+        estimate (sketch, head, tail).
     size:
         Dimension ``n`` of the operator.
     samples:
         Total probe budget (the sketch takes a third).
     rng:
         Numpy generator; a fixed default keeps estimates reproducible.
-    sketch:
-        Optional mutable dict recycled across calls *on the same operator*.
-        The orthonormal sketch basis is stored under ``"basis"`` on the
-        first call and reused afterwards, skipping the sketch application
-        entirely; the probe stream is drawn identically either way, so a
-        recycled estimate equals the cold one.  Combine with a
-        :class:`DeflationSpace` inside ``apply_fn`` to also make the
-        remaining solves cheap (see
-        :data:`repro.core.error.STOCHASTIC_TRACE`).
 
     Examples
     --------
     >>> matrix = np.diag([3.0, 2.0, 1.0])
     >>> round(hutchpp_trace(lambda x: matrix @ x, 3, samples=9), 10)
     6.0
-    >>> cache = {}
-    >>> cold = hutchpp_trace(lambda x: matrix @ x, 3, samples=9, sketch=cache)
-    >>> recycled = hutchpp_trace(lambda x: matrix @ x, 3, samples=9, sketch=cache)
-    >>> bool(recycled == cold and cache["basis"].shape == (3, 3))
-    True
     """
     if rng is None:
         rng = np.random.default_rng(0)
     sketch_size = max(1, min(samples // 3, size))
     probes = rng.choice([-1.0, 1.0], size=(size, sketch_size))
-    basis = None
-    if sketch is not None:
-        cached = sketch.get("basis")
-        if cached is not None and cached.shape == (size, sketch_size):
-            basis = cached
-    if basis is None:
-        basis, _ = np.linalg.qr(apply_fn(probes))
-        if sketch is not None:
-            sketch["basis"] = basis
+    basis, _ = np.linalg.qr(apply_fn(probes))
     head = float(np.sum(basis * apply_fn(basis)))
     if basis.shape[1] >= size:
         return head

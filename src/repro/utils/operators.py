@@ -1018,6 +1018,7 @@ class EigenDiagOperator:
         self.shape = (basis.size, basis.size)
         self.symmetric = True
         self._woodbury: "WoodburyOperator | None" = None
+        self._last_trace: "tuple[tuple[np.ndarray, ...], float] | None" = None
 
     @property
     def has_diag(self) -> bool:
@@ -1044,6 +1045,30 @@ class EigenDiagOperator:
                 self.basis, self.spectrum, cells, self.diag[cells], limit=limit
             )
         return self._woodbury
+
+    def remembered_trace(self, workload_factors) -> float | None:
+        """The trace last stored by :meth:`remember_trace` for equal factors.
+
+        ``None`` when nothing is stored or the stored workload factors differ
+        from ``workload_factors``.  One ``(factors, trace)`` pair is kept:
+        the trace depends only on the workload and the strategy, so a budget
+        scan re-evaluating this strategy's error skips the solve entirely.
+        """
+        last = self._last_trace
+        if last is None or len(last[0]) != len(workload_factors):
+            return None
+        if all(np.array_equal(a, b) for a, b in zip(last[0], workload_factors)):
+            return last[1]
+        return None
+
+    def remember_trace(self, workload_factors, value: float) -> None:
+        """Store ``value`` as the trace against ``workload_factors``.
+
+        The pair is replaced in one assignment, so concurrent readers see
+        either the old pair or the new one, never a mix.
+        """
+        factors = tuple(np.array(f, dtype=float) for f in workload_factors)
+        self._last_trace = (factors, float(value))
 
     def inverse_apply(self, x: np.ndarray) -> np.ndarray:
         """Return ``M^+ x`` through the structured factorization.

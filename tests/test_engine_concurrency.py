@@ -400,25 +400,49 @@ class TestSharedMemoLocks:
         for values in results[1:]:
             np.testing.assert_allclose(values, results[0])
 
-    def test_trace_recycler_registry_survives_concurrent_evaluations(self):
+    def test_concurrent_stochastic_traces_are_identical(self, monkeypatch):
+        # A completed factorized design under a shrunk materialization budget
+        # takes the CG + Hutch++ path even on 64 cells.  Concurrent first
+        # evaluations on one strategy operator, each possibly computing and
+        # storing the remembered trace, all return the single-threaded value.
         from repro.core import error as error_module
         from repro.core.eigen_design import eigen_design
         from repro.core.error import expected_workload_error
+        from repro.core.strategy import Strategy
+        from repro.utils import operators as ops
+        from repro.utils.operators import EigenDiagOperator
         from repro.workloads import all_range_queries
 
-        error_module.clear_trace_recyclers()
         workload = all_range_queries([8, 8])
-        design = eigen_design(workload)
+        design = eigen_design(workload, factorized=True)
+        calls = []
+        stochastic = error_module._stochastic_completed_trace
+
+        def counted(*args):
+            calls.append(1)
+            return stochastic(*args)
+
+        monkeypatch.setattr(error_module, "_stochastic_completed_trace", counted)
+        monkeypatch.setattr(ops, "MATERIALIZATION_LIMIT", 1)
+        expected = expected_workload_error(workload, design.strategy, PRIVACY)
+        assert len(calls) == 1
+        operator = design.strategy.gram_operator
+        fresh = Strategy.from_gram_operator(
+            EigenDiagOperator(operator.basis, operator.spectrum, operator.diag)
+        )
         values = [None] * THREADS
 
         def work(index):
-            values[index] = expected_workload_error(workload, design.strategy, PRIVACY)
+            values[index] = expected_workload_error(workload, fresh, PRIVACY)
 
-        _run_threads(THREADS, work)
-        for value in values[1:]:
-            assert value == pytest.approx(values[0])
-        assert len(error_module._TRACE_RECYCLERS) <= error_module._TRACE_RECYCLER_LIMIT
-        error_module.clear_trace_recyclers()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(THREADS, work)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 1 + THREADS
+        assert values == [expected] * THREADS
 
 
 # ------------------------------------------------------------ line protocol

@@ -1,4 +1,4 @@
-"""Matrix-free stage-2 group columns, Krylov recycling and the singular CG path.
+"""Matrix-free stage-2 group columns, repeated traces and the singular CG path.
 
 Property-based and acceptance coverage for the last dense gaps closed by the
 operator subsystem:
@@ -6,9 +6,8 @@ operator subsystem:
 * :class:`~repro.utils.operators.GroupColumnOperator` against the dense
   stage-2 group-column matrix it replaces (oracle tests at small ``n``, a
   no-densify monkeypatch guard at ``n = 4096``);
-* Krylov recycling (:class:`~repro.utils.linalg.DeflationSpace` + Hutch++
-  sketch reuse): a repeated ``_completed_trace`` evaluation of the same
-  strategy must use measurably fewer PCG iterations than the first;
+* repeated traces: re-evaluating the same completed strategy against equal
+  workload factors must run no PCG solve and return the identical float;
 * the rank-deficient + huge-completion corner running through the
   null-space-projected singular CG formulation instead of dense.
 """
@@ -24,15 +23,10 @@ from repro import (
     eigen_query_separation,
     expected_workload_error,
 )
-from repro.core.error import (
-    STOCHASTIC_TRACE_LAST,
-    _stochastic_completed_trace,
-    clear_trace_recyclers,  # noqa: F401 - exercised via error_module below
-    workload_strategy_trace,
-)
+from repro.core.error import _stochastic_completed_trace, workload_strategy_trace
 from repro.exceptions import SingularStrategyError
 from repro.optimize import WeightingProblem, solve_weighting
-from repro.utils.linalg import DeflationSpace, pcg_solve, trace_ratio
+from repro.utils.linalg import trace_ratio
 from repro.utils.operators import (
     EigenDiagOperator,
     GroupColumnOperator,
@@ -186,122 +180,54 @@ class TestGroupColumnOperator:
         assert np.isfinite(error) and error > 0
 
 
-class TestKrylovRecycling:
-    def test_deflation_space_cuts_iterations(self):
-        rng = np.random.default_rng(3)
-        matrix = rng.normal(size=(60, 60))
-        matrix = matrix @ matrix.T + np.eye(60)
-        rhs = rng.normal(size=(60, 4))
-        space = DeflationSpace(max_vectors=16)
-        first, second = {}, {}
-        x1 = pcg_solve(lambda v: matrix @ v, rhs, deflation=space, stats=first)
-        x2 = pcg_solve(lambda v: matrix @ v, rhs, deflation=space, stats=second)
-        assert second["column_iterations"] < first["column_iterations"]
-        np.testing.assert_allclose(x1, np.linalg.solve(matrix, rhs), atol=1e-6)
-        np.testing.assert_allclose(x2, np.linalg.solve(matrix, rhs), atol=1e-6)
+def counting_pcg_solve(monkeypatch) -> dict:
+    """Count the stochastic trace's ``pcg_solve`` calls from here on."""
+    calls = {"count": 0}
+    original = error_module.pcg_solve
 
-    def test_deflation_guess_helps_related_rhs(self):
-        # A new right-hand side inside the span of absorbed solutions starts
-        # (nearly) converged even though it was never solved before.
-        rng = np.random.default_rng(4)
-        matrix = rng.normal(size=(50, 50))
-        matrix = matrix @ matrix.T + np.eye(50)
-        rhs = rng.normal(size=(50, 3))
-        space = DeflationSpace(max_vectors=8)
-        pcg_solve(lambda v: matrix @ v, rhs, deflation=space)
-        combined = rhs @ rng.normal(size=3)
-        stats = {}
-        solved = pcg_solve(lambda v: matrix @ v, combined, deflation=space, stats=stats)
-        assert stats["iterations"] <= 2
-        np.testing.assert_allclose(solved, np.linalg.solve(matrix, combined), atol=1e-6)
+    def counted(*args, **kwargs):
+        calls["count"] += 1
+        return original(*args, **kwargs)
 
-    def test_repeated_completed_trace_uses_fewer_iterations(self, monkeypatch):
-        # Acceptance bar: re-evaluating the same completed strategy's error
-        # trace (the budget-management loop) must use measurably fewer PCG
-        # iterations than the first evaluation — here: none at all.
-        monkeypatch.setattr(error_module, "_TRACE_RECYCLERS", type(error_module._TRACE_RECYCLERS)())
+    monkeypatch.setattr(error_module, "pcg_solve", counted)
+    return calls
+
+
+class TestRepeatedTrace:
+    def test_repeated_completed_trace_runs_no_solve(self, monkeypatch):
+        # Re-evaluating the same completed strategy's error trace (a budget
+        # scan) returns the remembered float without any CG solve.
         workload = all_range_queries([16, 16, 16])
         design = eigen_design(workload, factorized=True, complete=True)
+        calls = counting_pcg_solve(monkeypatch)
         first = workload_strategy_trace(workload, design.strategy)
-        first_stats = dict(STOCHASTIC_TRACE_LAST)
+        assert calls["count"] > 0
+        calls["count"] = 0
         second = workload_strategy_trace(workload, design.strategy)
-        second_stats = dict(STOCHASTIC_TRACE_LAST)
-        assert first_stats["column_iterations"] > 0
-        assert not first_stats["recycled_sketch"]
-        assert second_stats["recycled_sketch"]
-        assert second_stats["column_iterations"] <= first_stats["column_iterations"] // 10
-        assert second == pytest.approx(first, rel=1e-6)
+        assert calls["count"] == 0
+        assert second == first
 
-    def test_recycle_knob_disables_reuse(self, monkeypatch):
-        monkeypatch.setattr(error_module, "_TRACE_RECYCLERS", type(error_module._TRACE_RECYCLERS)())
-        monkeypatch.setitem(error_module.STOCHASTIC_TRACE, "recycle", False)
+    def test_changed_workload_is_recomputed(self, monkeypatch):
+        # The remembered trace belongs to one set of workload factors: equal
+        # shapes with different content must solve again, and get the value
+        # a fresh strategy operator gets.
         rng = np.random.default_rng(5)
-        gram = rng.normal(size=(5, 5))
-        workload_op = KroneckerOperator([gram.T @ gram], symmetric=True)
-        basis = workload_op.eigenbasis()
+        grams = []
+        for _ in range(2):
+            gram = rng.normal(size=(5, 5))
+            grams.append(gram.T @ gram)
+        basis = KroneckerOperator([grams[0]], symmetric=True).eigenbasis()
         spectrum = rng.uniform(0.5, 2.0, size=basis.size)
         diag = rng.uniform(0.1, 1.0, size=basis.size)
         strategy_op = EigenDiagOperator(basis, spectrum, diag)
-        _stochastic_completed_trace(workload_op, strategy_op)
-        first = dict(STOCHASTIC_TRACE_LAST)
-        _stochastic_completed_trace(workload_op, strategy_op)
-        second = dict(STOCHASTIC_TRACE_LAST)
-        assert not second["recycled_sketch"]
-        assert second["column_iterations"] == first["column_iterations"]
-        assert not error_module._TRACE_RECYCLERS
-
-    def test_seed_change_starts_cold(self, monkeypatch):
-        # Changing the estimator seed must NOT reuse the old seed's sketch:
-        # replicates would be silently correlated.  The recycled seed-1
-        # estimate must equal a cold seed-1 estimate exactly.
-        monkeypatch.setattr(error_module, "_TRACE_RECYCLERS", type(error_module._TRACE_RECYCLERS)())
-        rng = np.random.default_rng(9)
-        gram = rng.normal(size=(6, 6))
-        workload_op = KroneckerOperator([gram.T @ gram], symmetric=True)
-        basis = workload_op.eigenbasis()
-        strategy_op = EigenDiagOperator(
-            basis,
-            rng.uniform(0.5, 2.0, size=basis.size),
-            rng.uniform(0.1, 1.0, size=basis.size),
-        )
-        _stochastic_completed_trace(workload_op, strategy_op)
-        monkeypatch.setitem(error_module.STOCHASTIC_TRACE, "seed", 1)
-        replicate = _stochastic_completed_trace(workload_op, strategy_op)
-        assert not STOCHASTIC_TRACE_LAST["recycled_sketch"]
-        monkeypatch.setitem(error_module.STOCHASTIC_TRACE, "recycle", False)
-        cold = _stochastic_completed_trace(workload_op, strategy_op)
-        assert replicate == pytest.approx(cold, rel=1e-9)
-
-    def test_clear_trace_recyclers_releases_state(self, monkeypatch):
-        monkeypatch.setattr(error_module, "_TRACE_RECYCLERS", type(error_module._TRACE_RECYCLERS)())
-        rng = np.random.default_rng(10)
-        gram = rng.normal(size=(4, 4))
-        workload_op = KroneckerOperator([gram.T @ gram], symmetric=True)
-        basis = workload_op.eigenbasis()
-        strategy_op = EigenDiagOperator(
-            basis,
-            rng.uniform(0.5, 2.0, size=basis.size),
-            rng.uniform(0.1, 1.0, size=basis.size),
-        )
-        _stochastic_completed_trace(workload_op, strategy_op)
-        assert error_module._TRACE_RECYCLERS
-        error_module.clear_trace_recyclers()
-        assert not error_module._TRACE_RECYCLERS
-
-    def test_recycler_registry_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(error_module, "_TRACE_RECYCLERS", type(error_module._TRACE_RECYCLERS)())
-        rng = np.random.default_rng(6)
-        for _ in range(error_module._TRACE_RECYCLER_LIMIT + 3):
-            gram = rng.normal(size=(4, 4))
-            workload_op = KroneckerOperator([gram.T @ gram], symmetric=True)
-            basis = workload_op.eigenbasis()
-            strategy_op = EigenDiagOperator(
-                basis,
-                rng.uniform(0.5, 2.0, size=basis.size),
-                rng.uniform(0.1, 1.0, size=basis.size),
-            )
-            _stochastic_completed_trace(workload_op, strategy_op)
-        assert len(error_module._TRACE_RECYCLERS) <= error_module._TRACE_RECYCLER_LIMIT
+        first_op = KroneckerOperator([grams[0]], symmetric=True)
+        second_op = KroneckerOperator([grams[1]], symmetric=True)
+        _stochastic_completed_trace(first_op, strategy_op)
+        calls = counting_pcg_solve(monkeypatch)
+        changed = _stochastic_completed_trace(second_op, strategy_op)
+        assert calls["count"] > 0
+        fresh = _stochastic_completed_trace(second_op, EigenDiagOperator(basis, spectrum, diag))
+        assert changed == fresh
 
 
 class TestRankDeficientStochasticTrace:
@@ -329,18 +255,13 @@ class TestRankDeficientStochasticTrace:
     @settings(max_examples=20, deadline=None)
     def test_matches_dense_pseudo_inverse_oracle(self, seed):
         # The null-space-projected singular CG formulation must agree with
-        # the dense pinv oracle once the sketch spans the whole space.
+        # the dense pinv oracle: the 96 default samples are >= 3n for n = 12,
+        # so the Hutch++ sketch spans the whole space.
         rng = np.random.default_rng(seed)
         workload_op, strategy_op = self.rank_deficient_pair(rng, [3, 4])
-        old = dict(error_module.STOCHASTIC_TRACE)
-        try:
-            error_module.STOCHASTIC_TRACE["samples"] = 3 * strategy_op.shape[0]
-            error_module.STOCHASTIC_TRACE["recycle"] = False
-            structured = _stochastic_completed_trace(workload_op, strategy_op)
-        finally:
-            error_module.STOCHASTIC_TRACE.update(old)
+        assert np.any(strategy_op.spectrum == 0.0)
+        structured = _stochastic_completed_trace(workload_op, strategy_op)
         dense = trace_ratio(workload_op.to_dense(), strategy_op.to_dense())
-        assert STOCHASTIC_TRACE_LAST["rank_deficient"]
         assert structured == pytest.approx(dense, rel=1e-6)
 
     def test_tiny_alive_coordinates_not_misclassified(self):
@@ -355,16 +276,10 @@ class TestRankDeficientStochasticTrace:
         spectrum = np.array([1.0, 1.0, 1.0, 1e-8, 1e-8, 1e-8, 0.0, 0.0])
         diag = np.array([1e6, 1e6, 1e6, 0.0, 0.0, 0.0, 0.0, 0.0])
         strategy_op = EigenDiagOperator(basis, spectrum, diag)
-        old = dict(error_module.STOCHASTIC_TRACE)
-        try:
-            error_module.STOCHASTIC_TRACE["samples"] = 3 * basis.size
-            error_module.STOCHASTIC_TRACE["recycle"] = False
-            structured = _stochastic_completed_trace(workload_op, strategy_op)
-        finally:
-            error_module.STOCHASTIC_TRACE.update(old)
+        # Rank-deficient, so an unconverged CG column would raise.
+        structured = _stochastic_completed_trace(workload_op, strategy_op)
         oracle = float(np.sum(w[:6] / (spectrum + diag)[:6]))
         assert structured == pytest.approx(oracle, rel=1e-6)
-        assert STOCHASTIC_TRACE_LAST["unconverged"] == 0
 
     def test_unsupported_workload_raises(self):
         # Workload mass on the unreachable dead space (zero spectrum, no
@@ -392,7 +307,6 @@ class TestRankDeficientStochasticTrace:
         monkeypatch.setattr(ops.KroneckerOperator, "to_dense", forbidden)
         monkeypatch.setattr(ops.EigenDiagOperator, "to_dense", forbidden)
         monkeypatch.setattr(ops.KroneckerEigenbasis, "queries_dense", forbidden)
-        monkeypatch.setattr(error_module, "_TRACE_RECYCLERS", type(error_module._TRACE_RECYCLERS)())
         rng = np.random.default_rng(8)
         factors = []
         for size in (16, 16, 16):
@@ -408,9 +322,9 @@ class TestRankDeficientStochasticTrace:
         )
         diag = rng.uniform(0.1, 1.0, size=basis.size)  # huge completion rank
         strategy_op = EigenDiagOperator(basis, spectrum, diag)
+        assert np.any(spectrum == 0.0)
         from repro.core.error import _trace_core
 
+        # Rank-deficient, so an unconverged CG column would raise.
         value = _trace_core(workload_op, strategy_op)
         assert np.isfinite(value) and value > 0
-        assert STOCHASTIC_TRACE_LAST["rank_deficient"]
-        assert STOCHASTIC_TRACE_LAST["unconverged"] == 0

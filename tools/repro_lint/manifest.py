@@ -76,18 +76,6 @@ LOCK_MANIFEST: tuple[LockRule, ...] = (
         lock="_FACTOR_EIGH_CACHE_LOCK",
     ),
     LockRule(
-        doc_state="Krylov recycler registry (`repro.core.error`)",
-        doc_guard=(
-            "registry lock for the FIFO structure, plus one lock per recycler "
-            "for its mutable Krylov state"
-        ),
-        doc_granularity="process / per (workload, strategy) pair",
-        module="repro.core.error",
-        owner=None,
-        attributes=("_TRACE_RECYCLERS",),
-        lock="_TRACE_RECYCLER_REGISTRY_LOCK",
-    ),
-    LockRule(
         doc_state="`Session` releases, history, seed stream",
         doc_guard=(
             "per-session re-entrant lock; planning and mechanism execution "
