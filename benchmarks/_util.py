@@ -1,26 +1,31 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark reproduces one table or figure of the paper: it computes the
-same rows/series the paper reports (at a laptop-friendly default scale),
-prints them, and writes them to ``benchmarks/results/<name>.txt`` so the
-output survives pytest's capture.  Set the environment variable
-``REPRO_PAPER_SCALE=1`` to run the paper-scale configurations (slower).
+A paper-figure bench runs one experiment of :mod:`repro.evaluation.registry`,
+which owns every workload, strategy, seed and shape.  The bench prints the
+record's rows, writes them to ``benchmarks/results/<name>.txt`` so the output
+survives pytest's capture, and asserts the paper's claims on them.  Set the
+environment variable ``REPRO_PAPER_SCALE=1`` for the paper-scale
+configurations (slower).
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
+
+from repro.evaluation import ExperimentRecord, run_experiment
+from repro.evaluation.registry import PAPER_SCALE
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: True when the benchmarks should use the paper's full domain sizes.
-PAPER_SCALE = os.environ.get("REPRO_PAPER_SCALE", "0") not in ("", "0", "false", "False")
+#: How the printed titles name the configuration.
+SCALE_LABEL = "paper scale" if PAPER_SCALE else "reduced scale"
 
 
-def scale(default: int, paper: int) -> int:
-    """Pick the default or paper-scale value of a size parameter."""
-    return paper if PAPER_SCALE else default
+def run(benchmark, name: str, **overrides) -> ExperimentRecord:
+    """Run one registry experiment once, timed by pytest-benchmark."""
+    return benchmark.pedantic(
+        run_experiment, args=(name,), kwargs=overrides, rounds=1, iterations=1
+    )
 
 
 def emit(name: str, text: str) -> None:

@@ -3,59 +3,27 @@
 The paper reports RMSE 47.78 (workload as strategy), 45.36 (identity), 34.62
 (wavelet), 29.79 (eigen design) and a lower bound of 29.18 for the 8-query
 gender x gpa workload.  Our noise constant differs by a fixed factor, so the
-reproduced quantities are the ratios between strategies, which this benchmark
-prints alongside the paper's.
+reproduced quantities are the ratios between strategies, which the registry's
+``example`` experiment prints alongside the paper's.
 """
 
 from __future__ import annotations
 
-from repro import eigen_design, expected_workload_error, minimum_error_bound
 from repro.evaluation import format_table
-from repro.strategies import identity_strategy, wavelet_strategy, workload_strategy
-from repro.workloads import example_workload
 
-from _util import emit
-
-PAPER_ERRORS = {"identity": 45.36, "wavelet": 34.62, "eigen-design": 29.79, "lower-bound": 29.18}
+from _util import emit, run
 
 
-def test_example_workload_strategies(benchmark, privacy):
-    workload = example_workload()
-
-    design = benchmark(lambda: eigen_design(workload))
-
-    errors = {
-        "identity": expected_workload_error(workload, identity_strategy(8), privacy),
-        "wavelet": expected_workload_error(workload, wavelet_strategy(8), privacy),
-        "eigen-design": expected_workload_error(workload, design.strategy, privacy),
-        "lower-bound": minimum_error_bound(workload, privacy),
-    }
-    workload_as_strategy = expected_workload_error(workload, workload_strategy(workload), privacy)
-
-    rows = []
-    for name, error in errors.items():
-        rows.append(
-            {
-                "strategy": name,
-                "measured error": error,
-                "measured / bound": error / errors["lower-bound"],
-                "paper error": PAPER_ERRORS[name],
-                "paper / bound": PAPER_ERRORS[name] / PAPER_ERRORS["lower-bound"],
-            }
-        )
-    rows.append(
-        {
-            "strategy": "workload-as-strategy",
-            "measured error": workload_as_strategy,
-            "measured / bound": workload_as_strategy / errors["lower-bound"],
-            "paper error": 47.78,
-            "paper / bound": 47.78 / PAPER_ERRORS["lower-bound"],
-        }
-    )
+def test_example_workload_strategies(benchmark):
+    record = run(benchmark, "example")
     emit(
         "example_workload",
-        format_table(rows, precision=3, title="E1 (Fig. 2 / Example 4): strategies for the Fig. 1 workload"),
+        format_table(
+            record.rows,
+            precision=3,
+            title="E1 (Fig. 2 / Example 4): strategies for the Fig. 1 workload",
+        ),
     )
-
+    errors = {row["strategy"]: row["error"] for row in record.rows}
     assert errors["eigen-design"] < errors["wavelet"] < errors["identity"]
     assert errors["eigen-design"] / errors["lower-bound"] < 1.05

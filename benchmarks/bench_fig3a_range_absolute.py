@@ -3,78 +3,32 @@
 The paper fixes 2048 cells and varies the domain shape ([2048], [64x32],
 [16x16x8], [8x8x8x4], [2^11]), comparing Hierarchical, Wavelet, the Eigen
 design and the singular-value lower bound, for (i) all range queries and
-(ii) random range queries.  The default configuration here uses 256 cells so
-the whole benchmark suite stays fast; set ``REPRO_PAPER_SCALE=1`` for the
-2048-cell shapes.
+(ii) random range queries.  The registry's ``range-absolute`` experiment uses
+256-cell shapes by default and the 2048-cell shapes with
+``REPRO_PAPER_SCALE=1``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import eigen_design, expected_workload_error, minimum_error_bound
 from repro.evaluation import format_table
-from repro.strategies import hierarchical_strategy, wavelet_strategy
-from repro.workloads import all_range_queries, random_range_queries
 
-from _util import PAPER_SCALE, emit
-
-SHAPES = (
-    [[2048], [64, 32], [16, 16, 8], [8, 8, 8, 4], [2] * 11]
-    if PAPER_SCALE
-    else [[256], [16, 16], [8, 8, 4], [4, 4, 4, 4], [2] * 8]
-)
-
-
-def _collect(workload_factory, privacy):
-    rows = []
-    for dims in SHAPES:
-        workload = workload_factory(dims)
-        strategies = {
-            "hierarchical": hierarchical_strategy(dims),
-            "wavelet": wavelet_strategy(dims),
-            "eigen-design": eigen_design(workload).strategy,
-        }
-        bound = minimum_error_bound(workload, privacy)
-        errors = {
-            name: expected_workload_error(workload, strategy, privacy)
-            for name, strategy in strategies.items()
-        }
-        best_competitor = min(errors["hierarchical"], errors["wavelet"])
-        rows.append(
-            {
-                "shape": "x".join(str(d) for d in dims),
-                "hierarchical": errors["hierarchical"],
-                "wavelet": errors["wavelet"],
-                "eigen": errors["eigen-design"],
-                "lower bound": bound,
-                "best/eigen": best_competitor / errors["eigen-design"],
-                "eigen/bound": errors["eigen-design"] / bound,
-            }
-        )
-    return rows
+from _util import SCALE_LABEL, emit, run
 
 
 @pytest.mark.parametrize("kind", ["all-range", "random-range"])
-def test_fig3a_range_workloads(benchmark, privacy, kind):
-    if kind == "all-range":
-        factory = all_range_queries
-    else:
-        factory = lambda dims: random_range_queries(dims, 1000, random_state=0)  # noqa: E731
-
-    rows = benchmark.pedantic(lambda: _collect(factory, privacy), rounds=1, iterations=1)
+def test_fig3a_range_workloads(benchmark, kind):
+    record = run(benchmark, "range-absolute", kind=kind)
     emit(
         f"fig3a_{kind}",
         format_table(
-            rows,
+            record.rows,
             precision=3,
-            title=(
-                f"E2 (Fig. 3a, {kind}): workload error by domain shape "
-                f"({'paper scale' if PAPER_SCALE else 'reduced scale'})"
-            ),
+            title=f"E2 (Fig. 3a, {kind}): workload error by domain shape ({SCALE_LABEL})",
         ),
     )
-    for row in rows:
+    for row in record.rows:
         # Paper: eigen design improves on the best competitor by 1.2x-2.1x and
         # stays within 1.3x of the lower bound.
         assert row["best/eigen"] > 1.0

@@ -3,95 +3,31 @@
 The paper fixes 2048 cells and compares Fourier, DataCube and the Eigen
 design (plus the lower bound) on (i) all 2-way marginals and (ii) random
 marginal workloads, over the shapes [16x16x8], [8x8x8x4] and [2^11].  The
-reduced default uses 256-cell shapes; ``REPRO_PAPER_SCALE=1`` restores the
-paper's shapes.
+registry's ``marginal-absolute`` experiment uses 256-cell shapes by default;
+``REPRO_PAPER_SCALE=1`` restores the paper's shapes.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import numpy as np
-
-from repro import Workload, eigen_design, expected_workload_error, minimum_error_bound
-from repro.domain import Domain
 from repro.evaluation import format_table
-from repro.strategies import datacube_strategy, fourier_strategy
-from repro.workloads import kway_marginals, marginal_attribute_sets, marginal_workload
 
-from _util import PAPER_SCALE, emit
-
-SHAPES = (
-    [[16, 16, 8], [8, 8, 8, 4], [2] * 11]
-    if PAPER_SCALE
-    else [[16, 16], [8, 8, 4], [4, 4, 4, 4]]
-)
-RANDOM_MARGINAL_COUNT = 16
-
-
-def _random_marginal_sets(domain: Domain, count: int, seed: int) -> list[tuple[int, ...]]:
-    """Sample attribute subsets the way the paper's random-marginal workloads do."""
-    rng = np.random.default_rng(seed)
-    sets = []
-    for _ in range(count):
-        order = int(rng.integers(1, domain.dimensions + 1))
-        sets.append(tuple(sorted(rng.choice(domain.dimensions, size=order, replace=False).tolist())))
-    return sets
-
-
-def _rows(kind, privacy):
-    rows = []
-    for dims in SHAPES:
-        domain = Domain(dims)
-        if kind == "2-way":
-            workload = kway_marginals(domain, 2)
-            marginal_sets = marginal_attribute_sets(domain, 2)
-        else:
-            marginal_sets = _random_marginal_sets(domain, RANDOM_MARGINAL_COUNT, seed=0)
-            workload = Workload.union(
-                [marginal_workload(domain, list(attrs)) for attrs in marginal_sets],
-                name=f"random-marginal{dims}",
-            )
-        strategies = {
-            "fourier": fourier_strategy(domain, marginal_sets),
-            "datacube": datacube_strategy(domain, marginal_sets),
-            "eigen-design": eigen_design(workload).strategy,
-        }
-        bound = minimum_error_bound(workload, privacy)
-        errors = {
-            name: expected_workload_error(workload, strategy, privacy)
-            for name, strategy in strategies.items()
-        }
-        best = min(errors["fourier"], errors["datacube"])
-        rows.append(
-            {
-                "shape": "x".join(str(d) for d in dims),
-                "fourier": errors["fourier"],
-                "datacube": errors["datacube"],
-                "eigen": errors["eigen-design"],
-                "lower bound": bound,
-                "best/eigen": best / errors["eigen-design"],
-                "eigen/bound": errors["eigen-design"] / bound,
-            }
-        )
-    return rows
+from _util import SCALE_LABEL, emit, run
 
 
 @pytest.mark.parametrize("kind", ["2-way", "random"])
-def test_fig3c_marginal_workloads(benchmark, privacy, kind):
-    rows = benchmark.pedantic(lambda: _rows(kind, privacy), rounds=1, iterations=1)
+def test_fig3c_marginal_workloads(benchmark, kind):
+    record = run(benchmark, "marginal-absolute", kind=kind)
     emit(
         f"fig3c_{kind}_marginals",
         format_table(
-            rows,
+            record.rows,
             precision=3,
-            title=(
-                f"E4 (Fig. 3c, {kind} marginals): workload error by domain shape "
-                f"({'paper scale' if PAPER_SCALE else 'reduced scale'})"
-            ),
+            title=f"E4 (Fig. 3c, {kind} marginals): workload error by domain shape ({SCALE_LABEL})",
         ),
     )
-    for row in rows:
+    for row in record.rows:
         # Paper: eigen design improves by 1.3x-2.2x and matches the bound.  At
         # the reduced default scale the Fourier/DataCube strategies can tie or
         # edge ahead by a couple of percent on the smallest shapes, so the

@@ -2,10 +2,10 @@
 
 The paper sweeps the group size of eigen-query separation and the fraction of
 principal vectors on 8192-cell workloads (all 1-D ranges and all 2-D
-marginals), plotting workload error against execution time.  The default here
-uses 1024 cells (``REPRO_PAPER_SCALE=1`` raises it); error baselines (lower
-bound and the best competing fixed strategy) are printed alongside, exactly as
-in the figure.
+marginals), plotting workload error against execution time.  The registry's
+``optimizations`` experiment uses 512 cells by default (``REPRO_PAPER_SCALE=1``
+raises it) and prints the lower bound and the best competing fixed strategy
+after the sweep, exactly as in the figure.
 
 Note on expectations: the paper's full eigen design solves an O(n^4) SDP, so
 its reductions buy two orders of magnitude.  Our from-scratch first-order
@@ -16,107 +16,39 @@ the full design's error (the error column reproduces the figure's shape).
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from repro import (
-    eigen_design,
-    eigen_query_separation,
-    expected_workload_error,
-    minimum_error_bound,
-    principal_vectors,
-)
 from repro.evaluation import format_table
-from repro.strategies import datacube_strategy, wavelet_strategy
-from repro.workloads import all_range_queries_1d, kway_marginals, marginal_attribute_sets
 
-from _util import PAPER_SCALE, emit
-
-RANGE_CELLS = 4096 if PAPER_SCALE else 512
-MARGINAL_DIMS = [32, 16, 16] if PAPER_SCALE else [8, 8, 8]
-GROUP_SIZES = (4, 16, 64, 256) if PAPER_SCALE else (8, 32, 128)
-FRACTIONS = (0.25, 0.13, 0.06, 0.03)
-
-
-def _sweep(workload, privacy):
-    rows = []
-
-    start = time.perf_counter()
-    full = eigen_design(workload)
-    rows.append(
-        {
-            "method": "full eigen design",
-            "parameter": "-",
-            "error": expected_workload_error(workload, full.strategy, privacy),
-            "seconds": time.perf_counter() - start,
-        }
-    )
-    for group_size in GROUP_SIZES:
-        start = time.perf_counter()
-        result = eigen_query_separation(workload, group_size=group_size)
-        rows.append(
-            {
-                "method": "eigen separation",
-                "parameter": f"group={group_size}",
-                "error": expected_workload_error(workload, result.strategy, privacy),
-                "seconds": time.perf_counter() - start,
-            }
-        )
-    for fraction in FRACTIONS:
-        start = time.perf_counter()
-        result = principal_vectors(workload, fraction=fraction)
-        rows.append(
-            {
-                "method": "principal vectors",
-                "parameter": f"{int(round(fraction * 100))}%",
-                "error": expected_workload_error(workload, result.strategy, privacy),
-                "seconds": time.perf_counter() - start,
-            }
-        )
-    return rows
+from _util import emit, run
 
 
 @pytest.mark.parametrize("case", ["1d-ranges", "2d-marginals"])
-def test_fig4_performance_optimizations(benchmark, privacy, case):
-    if case == "1d-ranges":
-        workload = all_range_queries_1d(RANGE_CELLS)
-        competitor = ("wavelet", wavelet_strategy(RANGE_CELLS))
-    else:
-        workload = kway_marginals(MARGINAL_DIMS, 2)
-        competitor = (
-            "datacube",
-            datacube_strategy(MARGINAL_DIMS, marginal_attribute_sets(MARGINAL_DIMS, 2)),
-        )
-
-    rows = benchmark.pedantic(lambda: _sweep(workload, privacy), rounds=1, iterations=1)
-    bound = minimum_error_bound(workload, privacy)
-    competitor_error = expected_workload_error(workload, competitor[1], privacy)
-    footer = [
-        {"method": "lower bound", "parameter": "-", "error": bound, "seconds": 0.0},
-        {"method": competitor[0], "parameter": "-", "error": competitor_error, "seconds": 0.0},
-    ]
+def test_fig4_performance_optimizations(benchmark, case):
+    record = run(benchmark, "optimizations", kind=case)
     emit(
         f"fig4_{case}",
         format_table(
-            rows + footer,
+            record.rows,
             precision=3,
             title=f"E7 (Fig. 4, {case}): approximation quality vs execution time",
         ),
     )
 
-    full_error = rows[0]["error"]
-    reduced_errors = [row["error"] for row in rows[1:]]
+    # The record ends with the lower bound and the competitor.
+    *sweep, bound, competitor = record.rows
+    full_error = sweep[0]["error"]
+    reduced_errors = [row["error"] for row in sweep[1:]]
     # Paper: the reduced methods remain significantly better than the
     # competing fixed strategy; at reduced scale the best reduced variant
     # still beats the competitor outright and every variant stays close.
-    assert min(reduced_errors) < competitor_error
-    for row in rows:
+    assert min(reduced_errors) < competitor["error"]
+    for row in sweep:
         # Every variant stays above the lower bound (up to the ~0.5% numerical
         # slack of the rank-truncated error evaluation on low-rank marginal
         # workloads) and within a modest factor of the competitor.
-        assert row["error"] >= bound * 0.99
-        assert row["error"] < competitor_error * 1.15
+        assert row["error"] >= bound["error"] * 0.99
+        assert row["error"] < competitor["error"] * 1.15
         # The paper's ~12% quality envelope is only claimed down to ~6% of the
         # eigenvectors (its smallest reported fraction with that property); the
         # tiniest fraction keeps too few vectors at reduced scale, so it is

@@ -2,94 +2,29 @@
 
 The paper runs Program 1 with three different design sets — the eigen-queries,
 the wavelet matrix and the Fourier matrix — on 1-D range queries and 2-D
-marginals, plus the same workloads with permuted cell conditions.  Fixed
-design sets roughly match the eigen-queries on the structured workloads but
-degrade by several times under permutation; the eigen-queries are unaffected.
+marginals, plus the same workloads with permuted cell conditions: the
+registry's ``design-queries`` experiment.  Fixed design sets roughly match the
+eigen-queries on the structured workloads but degrade by several times under
+permutation; the eigen-queries are unaffected.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import eigen_design, expected_workload_error, minimum_error_bound, weighted_design_strategy
-from repro.domain import Domain
 from repro.evaluation import format_table
-from repro.strategies import wavelet_strategy
-from repro.strategies.fourier import full_fourier_matrix
-from repro.workloads import all_range_queries_1d, kway_marginals, permuted_workload
 
-from _util import PAPER_SCALE, emit
-
-RANGE_CELLS = 2048 if PAPER_SCALE else 256
-MARGINAL_DIMS = [64, 32] if PAPER_SCALE else [16, 16]
+from _util import emit, run
 
 
-def _errors_for(workload, design_sets, privacy):
-    errors = {}
-    for name, design in design_sets.items():
-        if design is None:
-            strategy = eigen_design(workload).strategy
-        else:
-            strategy = weighted_design_strategy(workload, design).strategy
-        errors[name] = expected_workload_error(workload, strategy, privacy)
-    errors["lower bound"] = minimum_error_bound(workload, privacy)
-    return errors
-
-
-def test_fig5_design_query_choice(benchmark, privacy):
-    range_workload = all_range_queries_1d(RANGE_CELLS)
-    marginal_workload = kway_marginals(MARGINAL_DIMS, 2)
-    cases = {
-        f"1D range [{RANGE_CELLS}]": (
-            range_workload,
-            {
-                "wavelet design": wavelet_strategy(RANGE_CELLS).matrix,
-                "fourier design": full_fourier_matrix([RANGE_CELLS]),
-                "eigen design": None,
-            },
-        ),
-        f"1D range [{RANGE_CELLS}] permuted": (
-            permuted_workload(range_workload, random_state=4),
-            {
-                "wavelet design": wavelet_strategy(RANGE_CELLS).matrix,
-                "fourier design": full_fourier_matrix([RANGE_CELLS]),
-                "eigen design": None,
-            },
-        ),
-        f"2D marginal {MARGINAL_DIMS}": (
-            marginal_workload,
-            {
-                "wavelet design": wavelet_strategy(MARGINAL_DIMS).matrix,
-                "fourier design": full_fourier_matrix(Domain(MARGINAL_DIMS)),
-                "eigen design": None,
-            },
-        ),
-        f"2D marginal {MARGINAL_DIMS} permuted": (
-            permuted_workload(marginal_workload, random_state=4),
-            {
-                "wavelet design": wavelet_strategy(MARGINAL_DIMS).matrix,
-                "fourier design": full_fourier_matrix(Domain(MARGINAL_DIMS)),
-                "eigen design": None,
-            },
-        ),
-    }
-
-    def run():
-        rows = []
-        for label, (workload, design_sets) in cases.items():
-            errors = _errors_for(workload, design_sets, privacy)
-            rows.append({"workload": label, **errors})
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig5_design_query_choice(benchmark):
+    record = run(benchmark, "design-queries")
     emit(
         "fig5_design_queries",
-        format_table(rows, precision=3, title="E8 (Fig. 5): comparison of design-query sets"),
+        format_table(record.rows, precision=3, title="E8 (Fig. 5): comparison of design-query sets"),
     )
 
-    by_label = {row["workload"]: row for row in rows}
-    structured = by_label[f"1D range [{RANGE_CELLS}]"]
-    permuted = by_label[f"1D range [{RANGE_CELLS}] permuted"]
+    structured, permuted = record.rows[:2]  # 1-D ranges, then the permuted copy
     # Paper: on the structured workload the fixed designs are within ~20% of
     # the eigen design; under permutation they are several times worse while
     # the eigen design's error is unchanged.

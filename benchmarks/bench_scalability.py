@@ -2,134 +2,59 @@
 
 The paper's complexity claim is that strategy selection costs O(n^4) via the
 eigen decomposition plus the weighting program (Sec. 3.2/4.1), and that the
-reductions of Sec. 4.2 tame the constant.  This ablation sweeps the domain
-size for the all-1-D-range workload, recording the wall-clock time of the
-full eigen design and its ratio-to-bound, so regressions in either the solver
-or the numerical quality show up as a change in the series' shape.
+reductions of Sec. 4.2 tame the constant.  The registry's ``scalability``
+experiment sweeps the domain size for the all-range workload, recording the
+wall-clock time of the eigen design and its ratio-to-bound, so regressions in
+either the solver or the numerical quality show up as a change in the series'
+shape.
 
-A second sweep exercises the *factorized Kronecker fast path* on
-multi-dimensional range workloads: the eigen design runs entirely through
-structured operators (k tiny factor ``eigh`` calls, a matrix-free weighting
-program, an operator-backed strategy Gram), reaching product domains far
-beyond what the dense path can touch — the dense sweep above tops out around
-``n = 2048`` while the factorized sweep runs an order of magnitude larger at
-comparable wall-clock.
+The ``dense`` sweep covers 1-D domains.  The ``factorized`` sweep runs the
+*Kronecker fast path* on multi-dimensional range workloads: the eigen design
+runs entirely through structured operators (k tiny factor ``eigh`` calls, a
+matrix-free weighting program, an operator-backed strategy Gram), reaching
+product domains far beyond what the dense path can touch at comparable
+wall-clock.  Each sweep designs its first size once untimed, so the first
+row does not carry the process's one-time warm-up.
 """
 
 from __future__ import annotations
 
-import time
+import pytest
 
-from repro import eigen_design, expected_workload_error, minimum_error_bound
 from repro.evaluation import format_table, line_chart
-from repro.workloads import all_range_queries, all_range_queries_1d
 
-from _util import PAPER_SCALE, emit
+from _util import emit, run
 
-SIZES = (64, 128, 256, 512, 1024, 2048) if PAPER_SCALE else (32, 64, 128, 256)
-
-#: Product-domain shapes for the factorized sweep.  Every shape beyond the
-#: first has n x n above the structure-preference budget, so the factorized
-#: path is the default there (a dense Gram remains possible up to the hard
-#: cap, which is what the dense timings in bench_kron_fastpath.py measure).
-KRON_SHAPES = (
-    ((16, 16, 8), (16, 16, 16), (32, 32, 8), (32, 32, 16), (32, 32, 32))
-    if PAPER_SCALE
-    else ((16, 16, 4), (16, 16, 16), (32, 32, 8))
-)
-
-
-def test_scalability_sweep(benchmark, privacy):
-    def run():
-        rows = []
-        for cells in SIZES:
-            workload = all_range_queries_1d(cells)
-            start = time.perf_counter()
-            design = eigen_design(workload)
-            seconds = time.perf_counter() - start
-            error = expected_workload_error(workload, design.strategy, privacy)
-            bound = minimum_error_bound(workload, privacy)
-            rows.append(
-                {
-                    "cells": cells,
-                    "seconds": seconds,
-                    "error": error,
-                    "ratio_to_bound": error / bound,
-                    "solver_iterations": design.solution.iterations,
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    chart = line_chart(
-        [row["cells"] for row in rows],
-        {"seconds": [row["seconds"] for row in rows]},
-        log_y=True,
-        title="Eigen-design wall-clock time vs domain size (log scale)",
-    )
-    emit(
+CASES = {
+    "dense": (
         "scalability",
-        format_table(
-            rows,
-            precision=4,
-            title="A4: eigen-design cost and quality vs domain size (all 1-D ranges)",
-        )
-        + "\n\n"
-        + chart,
-    )
-    for row in rows:
-        # Quality does not degrade with size: the ratio to the bound stays
-        # within the paper's 1.3 envelope across the sweep.
-        assert row["ratio_to_bound"] <= 1.3
-
-
-def test_kron_fastpath_sweep(benchmark, privacy):
-    """Eigen design on product domains the dense path cannot reach."""
-
-    def run():
-        rows = []
-        for shape in KRON_SHAPES:
-            workload = all_range_queries(shape)
-            start = time.perf_counter()
-            # complete=False keeps the strategy Gram diagonal in the
-            # eigenbasis so the error trace stays factorized at any size.
-            design = eigen_design(workload, complete=False, factorized=True)
-            seconds = time.perf_counter() - start
-            error = expected_workload_error(workload, design.strategy, privacy)
-            bound = minimum_error_bound(workload, privacy)
-            rows.append(
-                {
-                    "shape": "x".join(map(str, shape)),
-                    "cells": workload.column_count,
-                    "seconds": seconds,
-                    "error": error,
-                    "ratio_to_bound": error / bound,
-                    "method": design.method,
-                    "solver_iterations": design.solution.iterations,
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    chart = line_chart(
-        [row["cells"] for row in rows],
-        {"seconds": [row["seconds"] for row in rows]},
-        log_y=True,
-        title="Factorized eigen-design wall-clock time vs product-domain size",
-    )
-    emit(
+        "A4: eigen-design cost and quality vs domain size (all 1-D ranges)",
+        "Eigen-design wall-clock time vs domain size (log scale)",
+    ),
+    "factorized": (
         "kron_scalability",
-        format_table(
-            rows,
-            precision=4,
-            title="A4b: factorized eigen design on multi-dimensional range workloads",
-        )
-        + "\n\n"
-        + chart,
+        "A4b: factorized eigen design on multi-dimensional range workloads",
+        "Factorized eigen-design wall-clock time vs product-domain size",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_scalability_sweep(benchmark, kind):
+    record = run(benchmark, "scalability", kind=kind)
+    name, title, chart_title = CASES[kind]
+    chart = line_chart(
+        [row["cells"] for row in record.rows],
+        {"seconds": [row["seconds"] for row in record.rows]},
+        log_y=True,
+        title=chart_title,
     )
-    for row in rows:
-        assert row["method"] == "eigen-design-factorized"
-        # The factorized path keeps the same quality envelope as the dense
-        # sweep above (skipping the completion rows can only make the
-        # reported error slightly pessimistic, never better than optimal).
+    emit(name, format_table(record.rows, precision=4, title=title) + "\n\n" + chart)
+    for row in record.rows:
+        # Quality does not degrade with size: the ratio to the bound stays
+        # within the paper's 1.3 envelope across the sweep (skipping the
+        # completion rows on the factorized path can only make the reported
+        # error slightly pessimistic, never better than optimal).
         assert row["ratio_to_bound"] <= 1.3
+        if kind == "factorized":
+            assert row["method"] == "eigen-design-factorized"

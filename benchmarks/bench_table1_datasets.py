@@ -2,40 +2,24 @@
 
 Reports the dimensions and tuple counts of the two datasets used in the
 relative-error experiments, matching the paper's Table 1 (US Census:
-8 x 16 x 16, 15M tuples; Adult: 8 x 8 x 16 x 2, 33K tuples).  The generation
-itself is benchmarked (it is the only data-dependent setup cost).
+8 x 16 x 16, 15M tuples; Adult: 8 x 8 x 16 x 2, 33K tuples).  The registry's
+``datasets`` experiment generates them; the generation is the only
+data-dependent setup cost, and the bench times it.
 """
 
 from __future__ import annotations
 
-from repro.datasets import adult_like, census_like
 from repro.evaluation import format_table
 
-from _util import PAPER_SCALE, emit
-
-CENSUS_TOTAL = 15_000_000 if PAPER_SCALE else 1_000_000
+from _util import emit, run
 
 
 def test_table1_dataset_summaries(benchmark):
-    def build():
-        return [
-            census_like(total=CENSUS_TOTAL, random_state=0),
-            adult_like(random_state=0),
-        ]
-
-    datasets = benchmark.pedantic(build, rounds=1, iterations=1)
-    rows = []
-    for dataset, paper_dim, paper_tuples in zip(
-        datasets, ["8x16x16", "8x8x16x2"], ["15M", "33K"]
-    ):
-        summary = dataset.describe()
-        summary["paper dimension"] = paper_dim
-        summary["paper tuples"] = paper_tuples
-        rows.append(summary)
+    record = run(benchmark, "datasets")
     emit(
         "table1_datasets",
         format_table(
-            rows,
+            record.rows,
             columns=[
                 "name",
                 "dimension",
@@ -49,5 +33,5 @@ def test_table1_dataset_summaries(benchmark):
             title="E9 (Table 1): evaluation datasets (synthetic stand-ins, see DESIGN.md)",
         ),
     )
-    assert datasets[0].shape == (8, 16, 16)
-    assert datasets[1].shape == (8, 8, 16, 2)
+    for row in record.rows:
+        assert row["dimension"] == row["paper dimension"]

@@ -2,128 +2,32 @@
 
 For each alternative workload the paper reports the factor by which the Eigen
 design reduces error relative to the best and worst competitor, plus the
-ratio of the lower bound to the eigen error.  The reduced default uses
-256-cell domains (``REPRO_PAPER_SCALE=1`` switches to 2048 cells as in the
-paper).
+ratio of the lower bound to the eigen error.  The registry's
+``alternative-workloads`` experiment uses 256-cell domains by default
+(``REPRO_PAPER_SCALE=1`` switches to 2048 cells as in the paper).
 """
 
 from __future__ import annotations
 
-from repro import eigen_design, expected_workload_error, minimum_error_bound
-from repro.domain import Domain
 from repro.evaluation import format_table
-from repro.strategies import (
-    datacube_strategy,
-    fourier_strategy,
-    hierarchical_strategy,
-    wavelet_strategy,
-)
-from repro.workloads import (
-    all_range_queries_1d,
-    cdf_workload,
-    kway_range_marginals,
-    marginal_attribute_sets,
-    permuted_workload,
-    random_predicate_queries,
-)
 
-from _util import PAPER_SCALE, emit
-
-CELLS = 2048 if PAPER_SCALE else 256
-MARGINAL_DIMS = [16, 16, 8] if PAPER_SCALE else [8, 8, 4]
-PAPER_ROWS = {
-    "1D range (permuted)": {"best": 9.62, "worst": 13.16, "bound": 0.99},
-    "1-way range marginal": {"best": 1.30, "worst": 7.69, "bound": 0.98},
-    "2-way range marginal": {"best": 1.63, "worst": 3.23, "bound": 0.95},
-    "1D CDF": {"best": 1.01, "worst": 1.01, "bound": 0.80},
-    "predicate": {"best": 1.39, "worst": 1.94, "bound": 1.00},
-}
+from _util import PAPER_SCALE, emit, run
 
 
-def _competitors_for_ranges(cells):
-    return {"wavelet": wavelet_strategy(cells), "hierarchical": hierarchical_strategy(cells)}
-
-
-def _workload_suite():
-    domain = Domain(MARGINAL_DIMS)
-    suite = {}
-    suite["1D range (permuted)"] = (
-        permuted_workload(all_range_queries_1d(CELLS), random_state=3),
-        _competitors_for_ranges(CELLS),
-    )
-    suite["1-way range marginal"] = (
-        kway_range_marginals(domain, 1),
-        {
-            "fourier": fourier_strategy(domain, 1),
-            "datacube": datacube_strategy(domain, marginal_attribute_sets(domain, 1)),
-            "wavelet": wavelet_strategy(domain),
-            "hierarchical": hierarchical_strategy(domain),
-        },
-    )
-    suite["2-way range marginal"] = (
-        kway_range_marginals(domain, 2),
-        {
-            "fourier": fourier_strategy(domain, 2),
-            "datacube": datacube_strategy(domain, marginal_attribute_sets(domain, 2)),
-            "wavelet": wavelet_strategy(domain),
-            "hierarchical": hierarchical_strategy(domain),
-        },
-    )
-    suite["1D CDF"] = (cdf_workload(CELLS), _competitors_for_ranges(CELLS))
-    suite["predicate"] = (
-        random_predicate_queries(CELLS, 2 * CELLS, random_state=0),
-        {
-            "wavelet": wavelet_strategy(CELLS),
-            "hierarchical": hierarchical_strategy(CELLS),
-            "fourier": fourier_strategy(Domain([CELLS]), None),
-        },
-    )
-    return suite
-
-
-def test_table2_alternative_workloads(benchmark, privacy):
-    suite = _workload_suite()
-
-    def run():
-        rows = []
-        for label, (workload, competitors) in suite.items():
-            eigen_error = expected_workload_error(workload, eigen_design(workload).strategy, privacy)
-            errors = {
-                name: expected_workload_error(workload, strategy, privacy)
-                for name, strategy in competitors.items()
-            }
-            finite = {k: v for k, v in errors.items() if v != float("inf")}
-            best_name = min(finite, key=finite.get)
-            worst_name = max(finite, key=finite.get)
-            bound = minimum_error_bound(workload, privacy)
-            paper = PAPER_ROWS[label]
-            rows.append(
-                {
-                    "workload": label,
-                    "best/eigen": finite[best_name] / eigen_error,
-                    "worst/eigen": finite[worst_name] / eigen_error,
-                    "bound/eigen": bound / eigen_error,
-                    "paper best/worst": f"{paper['best']}/{paper['worst']}",
-                    "paper bound": paper["bound"],
-                    "best competitor": best_name,
-                    "worst competitor": worst_name,
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_table2_alternative_workloads(benchmark):
+    record = run(benchmark, "alternative-workloads")
     emit(
         "table2_alternative_workloads",
         format_table(
-            rows,
+            record.rows,
             precision=2,
             title=(
                 "E6 (Table 2): error-reduction factors of the eigen design on alternative workloads "
-                f"({CELLS} cells{' - paper scale' if PAPER_SCALE else ''})"
+                f"({record.parameters['cells']} cells{' - paper scale' if PAPER_SCALE else ''})"
             ),
         ),
     )
-    by_label = {row["workload"]: row for row in rows}
+    by_label = {row["workload"]: row for row in record.rows}
     # Paper shape: large wins on permuted ranges, clear wins on range marginals
     # and predicates, and roughly break-even on the highly skewed CDF workload.
     assert by_label["1D range (permuted)"]["best/eigen"] > 2.0
@@ -131,5 +35,5 @@ def test_table2_alternative_workloads(benchmark, privacy):
     assert by_label["2-way range marginal"]["best/eigen"] >= 1.0
     assert by_label["predicate"]["best/eigen"] > 1.0
     assert by_label["1D CDF"]["best/eigen"] > 0.9
-    for row in rows:
+    for row in record.rows:
         assert row["bound/eigen"] <= 1.0 + 1e-9

@@ -5,7 +5,7 @@ Usage (after ``pip install -e .``)::
     python -m repro list
     python -m repro info range-absolute
     python -m repro run example
-    python -m repro run range-absolute --set cells=256 --format csv
+    python -m repro run range-absolute --set "shapes=[(64,), (8, 8)]" --format csv
     python -m repro run alternative-workloads --output results.json
     python -m repro query --schema schema.json --data people.csv \
         --sql "SELECT COUNT(*) FROM people GROUP BY gender" --epsilon 0.5
@@ -16,7 +16,7 @@ Usage (after ``pip install -e .``)::
 ``run`` prints the experiment's rows as an aligned table (or CSV/JSON) and can
 persist them with ``--output``; ``--set key=value`` overrides any default
 parameter of the experiment (values are parsed as Python literals when
-possible, so ``--set dims=(4,4,4)`` and ``--set epsilon=1.0`` both work).
+possible, so ``--set "shapes=[(4,4,4)]"`` and ``--set epsilon=1.0`` both work).
 
 ``query`` is the end-to-end private query path: a schema spec (JSON mapping
 each attribute to ``"categorical"``, a bucket count, or explicit edges), a
@@ -323,7 +323,7 @@ def _command_run(arguments, out) -> int:
     spec = get_experiment(arguments.experiment)
     overrides = _parse_overrides(arguments.overrides)
     if overrides:
-        # A --set literal of the wrong type (e.g. cells=abc) surfaces as a
+        # A --set literal of the wrong type (e.g. shapes=abc) surfaces as a
         # TypeError/ValueError inside the runner; report it as a usage error
         # instead of a traceback, naming the exception type so a genuine
         # runner defect that slips through stays identifiable.  Runs without

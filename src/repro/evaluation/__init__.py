@@ -18,21 +18,21 @@ from repro.evaluation.registry import (
 from repro.evaluation.relative_error import (
     RelativeErrorResult,
     default_sanity_bound,
+    expected_relative_error,
     relative_error,
 )
 from repro.evaluation.tables import format_comparison, format_table
-from repro.evaluation.timing import Timer, timed
 
 __all__ = [
     "ExperimentRecord",
     "ExperimentSpec",
     "RelativeErrorResult",
     "StrategyComparison",
-    "Timer",
     "available_experiments",
     "bar_chart",
     "compare_strategies",
     "default_sanity_bound",
+    "expected_relative_error",
     "format_comparison",
     "format_table",
     "get_experiment",
@@ -43,5 +43,4 @@ __all__ = [
     "rows_to_csv",
     "run_experiment",
     "save_records",
-    "timed",
 ]

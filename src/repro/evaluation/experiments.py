@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.core.error import minimum_error_bound
+from repro.core.error import DEFAULT_PRIVACY, minimum_error_bound
 from repro.core.privacy import PrivacyParams
 from repro.core.strategy import Strategy
 from repro.core.workload import Workload
@@ -26,8 +26,6 @@ from repro.exceptions import MaterializationError, SingularStrategyError
 from repro.mechanisms.matrix_mechanism import MatrixMechanism
 
 __all__ = ["StrategyComparison", "compare_strategies"]
-
-DEFAULT_PRIVACY = PrivacyParams(epsilon=0.5, delta=1e-4)
 
 
 @dataclass

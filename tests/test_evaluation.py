@@ -1,4 +1,4 @@
-"""Tests for the evaluation harness: comparisons, relative error, tables, timing."""
+"""Tests for the evaluation harness: comparisons, relative error, tables."""
 
 import numpy as np
 import pytest
@@ -7,17 +7,17 @@ from repro import PrivacyParams, Strategy, Workload, eigen_design
 from repro.datasets import uniform_dataset, zipf_dataset
 from repro.evaluation import (
     StrategyComparison,
-    Timer,
     compare_strategies,
     default_sanity_bound,
+    expected_relative_error,
     format_comparison,
     format_table,
     relative_error,
-    timed,
 )
 from repro.exceptions import WorkloadError
+from repro.mechanisms import MatrixMechanism
 from repro.strategies import hierarchical_strategy, identity_strategy, wavelet_strategy
-from repro.workloads import all_range_queries_1d
+from repro.workloads import all_range_queries_1d, random_range_queries
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +87,33 @@ class TestRelativeError:
         tight = relative_error(workload, strategy, dataset, PrivacyParams(2.5, 1e-4), trials=5, random_state=1)
         assert tight.mean_relative_error < loose.mean_relative_error
 
+    def test_closed_form_matches_monte_carlo(self):
+        # The exact expectation under Gaussian noise sits within a few
+        # standard errors of a long Monte-Carlo run, for a fixed basis and
+        # for the eigen design the relative-error figures use.
+        dataset = uniform_dataset(shape=(32,), total=20_000, random_state=0)
+        workload = random_range_queries([32], 64, random_state=3)
+        privacy = PrivacyParams(0.5, 1e-4)
+        trials = 200
+        for strategy in (wavelet_strategy(32), eigen_design(workload.normalize_rows()).strategy):
+            exact = expected_relative_error(workload, strategy, dataset, privacy)
+            sampled = relative_error(
+                workload, strategy, dataset, privacy, trials=trials, random_state=4
+            )
+            standard_error = sampled.per_trial.std(ddof=1) / np.sqrt(trials)
+            assert abs(sampled.mean_relative_error - exact) <= 4 * standard_error
+
+    def test_one_mechanism_serves_every_epsilon(self):
+        dataset = zipf_dataset(shape=(32,), total=100_000, random_state=2)
+        workload = all_range_queries_1d(32)
+        strategy = wavelet_strategy(32)
+        mechanism = MatrixMechanism(strategy)
+        for epsilon in (0.1, 2.5):
+            privacy = PrivacyParams(epsilon, 1e-4)
+            direct = relative_error(workload, strategy, dataset, privacy, trials=2, random_state=1)
+            shared = relative_error(workload, mechanism, dataset, privacy, trials=2, random_state=1)
+            np.testing.assert_array_equal(shared.per_trial, direct.per_trial)
+
     def test_sanity_bound_default(self):
         dataset = uniform_dataset(shape=(16,), total=1_000_000, random_state=0)
         assert default_sanity_bound(dataset) == pytest.approx(1000.0)
@@ -121,19 +148,3 @@ class TestFormatting:
         text = format_comparison(comparison)
         assert "lower-bound" in text
         assert "eigen" in text
-
-
-class TestTiming:
-    def test_timer_accumulates(self):
-        timer = Timer()
-        with timer.measure("step"):
-            sum(range(1000))
-        with timer.measure("step"):
-            sum(range(1000))
-        assert timer.seconds("step") > 0
-        assert timer.seconds("missing") == 0.0
-
-    def test_timed_contextmanager(self):
-        with timed() as elapsed:
-            sum(range(1000))
-        assert elapsed() > 0

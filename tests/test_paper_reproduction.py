@@ -1,42 +1,23 @@
 """Integration tests tying the library to the paper's headline claims.
 
-These tests check the *shape* of the paper's results (who wins, by roughly
-what factor, ratios to the lower bound) at reduced domain sizes so the suite
-stays fast; the full-size experiments live under ``benchmarks/``.
+Each test runs an experiment of :mod:`repro.evaluation.registry`, the same
+definition the CI-gated benches under ``benchmarks/`` print, at tiny shapes so
+the suite stays fast.  It checks the *shape* of the paper's result: who wins,
+by roughly what factor, and the ratio to the lower bound.
 """
 
-import numpy as np
 import pytest
 
-from repro import (
-    PrivacyParams,
-    eigen_design,
-    expected_workload_error,
-    minimum_error_bound,
-)
-from repro.domain import Domain
-from repro.strategies import (
-    datacube_strategy,
-    fourier_strategy,
-    hierarchical_strategy,
-    identity_strategy,
-    wavelet_strategy,
-    workload_strategy,
-)
-from repro.workloads import (
-    all_range_queries,
-    all_range_queries_1d,
-    cdf_workload,
-    example_workload,
-    kway_marginals,
-    kway_range_marginals,
-    marginal_attribute_sets,
-    permuted_workload,
-    random_predicate_queries,
-    random_range_queries,
-)
+from repro.evaluation import run_experiment
 
-PRIVACY = PrivacyParams(epsilon=0.5, delta=1e-4)
+
+def _by(record, key: str) -> dict:
+    return {row[key]: row for row in record.rows}
+
+
+@pytest.fixture(scope="module")
+def example_errors():
+    return {row["strategy"]: row["error"] for row in run_experiment("example").rows}
 
 
 class TestExample4:
@@ -48,120 +29,92 @@ class TestExample4:
     constant-free.
     """
 
-    @pytest.fixture(scope="class")
-    def errors(self):
-        workload = example_workload()
-        eigen = eigen_design(workload).strategy
-        return {
-            "identity": expected_workload_error(workload, identity_strategy(8), PRIVACY),
-            "wavelet": expected_workload_error(workload, wavelet_strategy(8), PRIVACY),
-            "eigen": expected_workload_error(workload, eigen, PRIVACY),
-            "bound": minimum_error_bound(workload, PRIVACY),
-        }
+    def test_ordering_matches_paper(self, example_errors):
+        errors = example_errors
+        assert errors["eigen-design"] < errors["wavelet"] < errors["identity"]
 
-    def test_ordering_matches_paper(self, errors):
-        assert errors["eigen"] < errors["wavelet"] < errors["identity"]
-
-    def test_identity_to_wavelet_ratio(self, errors):
+    def test_identity_to_wavelet_ratio(self, example_errors):
         # Paper: 45.36 / 34.62 = 1.31
-        assert errors["identity"] / errors["wavelet"] == pytest.approx(1.31, abs=0.03)
+        ratio = example_errors["identity"] / example_errors["wavelet"]
+        assert ratio == pytest.approx(1.31, abs=0.03)
 
-    def test_wavelet_to_eigen_ratio(self, errors):
+    def test_wavelet_to_eigen_ratio(self, example_errors):
         # Paper: 34.62 / 29.79 = 1.16
-        assert errors["wavelet"] / errors["eigen"] == pytest.approx(1.16, abs=0.03)
+        ratio = example_errors["wavelet"] / example_errors["eigen-design"]
+        assert ratio == pytest.approx(1.16, abs=0.03)
 
-    def test_eigen_close_to_bound(self, errors):
+    def test_eigen_close_to_bound(self, example_errors):
         # Paper: 29.79 / 29.18 = 1.02
-        assert errors["eigen"] / errors["bound"] == pytest.approx(1.02, abs=0.02)
+        ratio = example_errors["eigen-design"] / example_errors["lower-bound"]
+        assert ratio == pytest.approx(1.02, abs=0.02)
 
 
 class TestFig3aRangeWorkloads:
     """Fig. 3(a): eigen design beats wavelet and hierarchical on range workloads."""
 
+    @pytest.fixture(scope="class")
+    def all_range(self):
+        record = run_experiment("range-absolute", kind="all-range", shapes=[[64], [8, 8], [4, 4, 4]])
+        return _by(record, "shape")
+
     @pytest.mark.parametrize("dims", [[64], [8, 8], [4, 4, 4]])
-    def test_all_range_ordering(self, dims):
-        workload = all_range_queries(dims)
-        eigen_error = expected_workload_error(workload, eigen_design(workload).strategy, PRIVACY)
-        wavelet_error = expected_workload_error(workload, wavelet_strategy(dims), PRIVACY)
-        hierarchical_error = expected_workload_error(workload, hierarchical_strategy(dims), PRIVACY)
-        bound = minimum_error_bound(workload, PRIVACY)
-        assert eigen_error < min(wavelet_error, hierarchical_error)
+    def test_all_range_ordering(self, all_range, dims):
+        row = all_range["x".join(map(str, dims))]
+        assert row["eigen"] < min(row["wavelet"], row["hierarchical"])
         # Paper: improvement factor 1.2 - 2.1 over the best competitor and
         # within 1.3x of the lower bound.
-        assert min(wavelet_error, hierarchical_error) / eigen_error > 1.1
-        assert eigen_error / bound < 1.3
+        assert row["best/eigen"] > 1.1
+        assert row["eigen/bound"] < 1.3
 
     def test_random_range_ordering(self):
-        workload = random_range_queries([8, 8], 200, random_state=0)
-        eigen_error = expected_workload_error(workload, eigen_design(workload).strategy, PRIVACY)
-        wavelet_error = expected_workload_error(workload, wavelet_strategy([8, 8]), PRIVACY)
-        hierarchical_error = expected_workload_error(workload, hierarchical_strategy([8, 8]), PRIVACY)
-        assert eigen_error < min(wavelet_error, hierarchical_error)
+        (row,) = run_experiment("range-absolute", kind="random-range", shapes=[[8, 8]]).rows
+        assert row["eigen"] < min(row["wavelet"], row["hierarchical"])
 
 
 class TestFig3cMarginalWorkloads:
     """Fig. 3(c): eigen design beats Fourier and DataCube on marginal workloads."""
 
+    @pytest.fixture(scope="class")
+    def two_way(self):
+        return _by(run_experiment("marginal-absolute", shapes=[[4, 4, 4], [8, 8, 4]]), "shape")
+
     @pytest.mark.parametrize("dims", [[4, 4, 4], [8, 8, 4]])
-    def test_two_way_marginals(self, dims):
-        domain = Domain(dims)
-        workload = kway_marginals(domain, 2)
-        eigen_error = expected_workload_error(workload, eigen_design(workload).strategy, PRIVACY)
-        fourier_error = expected_workload_error(workload, fourier_strategy(domain, 2), PRIVACY)
-        datacube_error = expected_workload_error(
-            workload, datacube_strategy(domain, marginal_attribute_sets(domain, 2)), PRIVACY
-        )
-        bound = minimum_error_bound(workload, PRIVACY)
-        assert eigen_error <= min(fourier_error, datacube_error) + 1e-9
+    def test_two_way_marginals(self, two_way, dims):
+        row = two_way["x".join(map(str, dims))]
+        assert row["eigen"] <= min(row["fourier"], row["datacube"]) + 1e-9
         # Paper: the eigen design essentially achieves the lower bound here.
-        assert eigen_error / bound < 1.05
+        assert row["eigen/bound"] < 1.05
 
 
 class TestTable2AlternativeWorkloads:
     """Table 2: the eigen design adapts where fixed-basis competitors degrade."""
 
-    def test_permuted_range_workload(self):
-        workload = permuted_workload(all_range_queries_1d(64), random_state=5)
-        eigen_error = expected_workload_error(workload, eigen_design(workload).strategy, PRIVACY)
-        wavelet_error = expected_workload_error(workload, wavelet_strategy(64), PRIVACY)
-        hierarchical_error = expected_workload_error(workload, hierarchical_strategy(64), PRIVACY)
-        bound = minimum_error_bound(workload, PRIVACY)
+    @pytest.fixture(scope="class")
+    def table(self):
+        return _by(run_experiment("alternative-workloads", cells=64, marginal_shape=[8, 8, 4]), "workload")
+
+    def test_permuted_range_workload(self, table):
+        row = table["1D range (permuted)"]
         # Paper: large improvement (9.6x - 13.2x at n=2048) and ratio ~1 to bound.
-        assert min(wavelet_error, hierarchical_error) / eigen_error > 2.0
-        assert eigen_error / bound < 1.1
+        assert row["best/eigen"] > 2.0
+        assert row["bound/eigen"] > 1 / 1.1
 
-    def test_one_way_range_marginals(self):
-        domain = Domain([8, 8, 4])
-        workload = kway_range_marginals(domain, 1)
-        eigen_error = expected_workload_error(workload, eigen_design(workload).strategy, PRIVACY)
-        fourier_error = expected_workload_error(workload, fourier_strategy(domain, 1), PRIVACY)
-        datacube_error = expected_workload_error(
-            workload, datacube_strategy(domain, marginal_attribute_sets(domain, 1)), PRIVACY
-        )
-        assert eigen_error < min(fourier_error, datacube_error)
+    def test_one_way_range_marginals(self, table):
+        # The best of Fourier, DataCube, wavelet and hierarchical loses.
+        assert table["1-way range marginal"]["best/eigen"] > 1.0
 
-    def test_cdf_workload_close_to_competitors(self):
+    def test_cdf_workload_close_to_competitors(self, table):
         # Table 2 reports only a marginal win on the CDF workload.
-        workload = cdf_workload(64)
-        eigen_error = expected_workload_error(workload, eigen_design(workload).strategy, PRIVACY)
-        wavelet_error = expected_workload_error(workload, wavelet_strategy(64), PRIVACY)
-        hierarchical_error = expected_workload_error(workload, hierarchical_strategy(64), PRIVACY)
-        assert eigen_error <= min(wavelet_error, hierarchical_error) * 1.05
+        assert table["1D CDF"]["best/eigen"] >= 1 / 1.05
 
-    def test_predicate_workload(self):
-        workload = random_predicate_queries(64, 256, random_state=0)
-        eigen_error = expected_workload_error(workload, eigen_design(workload).strategy, PRIVACY)
-        wavelet_error = expected_workload_error(workload, wavelet_strategy(64), PRIVACY)
-        bound = minimum_error_bound(workload, PRIVACY)
-        assert eigen_error < wavelet_error
-        assert eigen_error / bound < 1.1
+    def test_predicate_workload(self, table):
+        row = table["predicate"]
+        assert row["best/eigen"] > 1.0
+        assert row["bound/eigen"] > 1 / 1.1
 
 
 class TestWorkloadAsStrategyIsSuboptimal:
     """The motivating observation: asking exactly what you want is not optimal."""
 
-    def test_eigen_design_beats_workload_strategy(self):
-        workload = all_range_queries_1d(32)
-        direct = expected_workload_error(workload, workload_strategy(workload), PRIVACY)
-        adaptive = expected_workload_error(workload, eigen_design(workload).strategy, PRIVACY)
-        assert adaptive < direct
+    def test_eigen_design_beats_workload_strategy(self, example_errors):
+        assert example_errors["eigen-design"] < example_errors["workload-as-strategy"]

@@ -42,38 +42,38 @@ class TestRegistry:
         assert errors["eigen-design"] < errors["wavelet"]
 
     def test_range_absolute_small(self):
-        record = run_experiment("range-absolute", cells=32, queries=16)
-        eigen_rows = [row for row in record.rows if row["strategy"] == "eigen-design"]
-        assert len(eigen_rows) == 2  # all-range and random-range
-        for row in record.rows:
-            if row["strategy"] == "eigen-design":
-                assert row["ratio_to_bound"] < 1.35
+        for kind in ("all-range", "random-range"):
+            (row,) = run_experiment("range-absolute", kind=kind, shapes=[[32]]).rows
+            assert row["shape"] == "32"
+            assert row["eigen/bound"] < 1.35
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ReproError, match="unknown kind"):
+            run_experiment("range-absolute", kind="bananas", shapes=[[8]])
 
     def test_marginal_absolute_small(self):
-        record = run_experiment("marginal-absolute", dims=(4, 4, 4))
-        errors = {row["strategy"]: row["error"] for row in record.rows}
-        assert errors["eigen-design"] <= min(errors["fourier"], errors["datacube"]) * 1.0001
+        (row,) = run_experiment("marginal-absolute", shapes=[(4, 4, 4)]).rows
+        assert row["eigen"] <= min(row["fourier"], row["datacube"]) * 1.0001
 
     def test_relative_range_on_synthetic_uniform(self):
         record = run_experiment(
-            "relative-range", dataset="uniform", shape=(32,), trials=2, epsilon=1.0
+            "relative-range", dataset="uniform", shape=(32,), trials=2, epsilons=(1.0,)
         )
         assert len(record.rows) == 3
         for row in record.rows:
-            assert row["mean_relative_error"] >= 0
+            assert row["mean relative error"] >= 0
+            assert row["expected relative error"] > 0
 
     def test_alternative_workloads_small(self):
-        record = run_experiment("alternative-workloads", cells=36)
-        workloads = {row["workload"] for row in record.rows}
-        assert "1d-cdf" in workloads and "permuted-1d-range" in workloads
-        for row in record.rows:
-            if row["workload"] == "permuted-1d-range":
-                # Representation independence: the eigen design beats the
-                # locality-dependent competitors on permuted inputs.
-                assert row["best_ratio"] >= 1.0
+        record = run_experiment("alternative-workloads", cells=36, marginal_shape=(6, 6))
+        workloads = {row["workload"]: row for row in record.rows}
+        assert "1D CDF" in workloads
+        # Representation independence: the eigen design beats the
+        # locality-dependent competitors on permuted inputs.
+        assert workloads["1D range (permuted)"]["best/eigen"] >= 1.0
 
     def test_optimizations_small(self):
-        record = run_experiment("optimizations", cells=64)
+        record = run_experiment("optimizations", shape=(64,))
         methods = {row["method"] for row in record.rows}
         assert "full eigen design" in methods
         assert "eigen separation" in methods
@@ -83,20 +83,18 @@ class TestRegistry:
         assert bound <= full
 
     def test_design_queries_small(self):
-        record = run_experiment("design-queries", cells=32)
-        rows = {(row["workload"], row["design_set"]): row["error"] for row in record.rows}
+        record = run_experiment("design-queries", cells=32, marginal_shape=(4, 4))
+        structured, permuted = record.rows[:2]
         # The eigen design set is unaffected by permutation; the wavelet design set degrades.
-        assert rows[("1d-range-permuted", "eigen-design")] == pytest.approx(
-            rows[("1d-range", "eigen-design")], rel=1e-6
-        )
-        assert rows[("1d-range-permuted", "wavelet-design")] > rows[("1d-range", "wavelet-design")]
+        assert permuted["eigen design"] == pytest.approx(structured["eigen design"], rel=1e-6)
+        assert permuted["wavelet design"] > structured["wavelet design"]
 
     def test_scalability_small(self):
-        record = run_experiment("scalability", max_cells=32)
+        record = run_experiment("scalability", shapes=[(16,), (32,)])
         cells = [row["cells"] for row in record.rows]
         assert cells == [16, 32]
         for row in record.rows:
-            assert row["error"] >= row["bound"] * 0.99
+            assert row["ratio_to_bound"] >= 0.99
 
 
 class TestCli:
@@ -126,7 +124,8 @@ class TestCli:
 
     def test_run_with_overrides_and_json(self):
         out = io.StringIO()
-        assert main(["run", "design-queries", "--set", "cells=16", "--format", "json"], out=out) == 0
+        arguments = ["--set", "cells=16", "--set", "marginal_shape=(4,4)", "--format", "json"]
+        assert main(["run", "design-queries", *arguments], out=out) == 0
         payload = json.loads(out.getvalue())
         assert payload["experiment"] == "design-queries"
         assert payload["parameters"]["cells"] == 16
