@@ -2,15 +2,12 @@
 
 Measures what the serving layer (``repro.engine.server``) is for: answers
 per second from a pool of concurrent tenants sharing one planner and one
-content-addressed plan cache, swept over worker counts **and both
-execution tiers** (``thread`` and ``process``).  Two paths:
+content-addressed plan cache, swept over worker counts.  Two paths:
 
 * **paid** — every request runs the full warm pipeline: plan-cache hit
   (strategy optimization skipped), mechanism run (noise + inference), and
   an atomic budget charge.  Requests bring their own data vector so each
-  one genuinely executes instead of reusing a release.  On the ``process``
-  tier this work runs on worker processes — past the GIL — with plans
-  shipped once per worker by content address.
+  one genuinely executes instead of reusing a release.
 * **reuse** — each tenant pays once, then hammers requests served from the
   released estimate: the per-request work is exactly the shard-parallel
   ``W @ x_hat`` derivation, the hot path of a warm dashboard.  Reuse
@@ -28,8 +25,8 @@ three timed repeats keep the best — one scheduler hiccup no longer moves
 
 Emits an ``engine_throughput`` section into ``BENCH_kron_fastpath.json``
 (read-modify-write: the other sections are preserved) with one row per
-(execution, workers) pair: answers/sec on both paths, the plan-cache hit
-rate, speedups over the 1-worker thread row, and the server's per-stage
+worker count: answers/sec on both paths, the plan-cache hit rate, speedups
+over the 1-worker row, and the server's per-stage
 latency snapshot.  A second ``engine_store`` section (:func:`run_store`)
 measures the durable state tier: cold-boot vs warm-reboot first-answer
 latency (the warmed plan cache must skip strategy optimization entirely)
@@ -41,7 +38,7 @@ against the reactive cold start that pays strategy optimization inline —
 with the answers asserted bit-for-bit identical, since pre-planning moves
 *when* the plan is built, never *what* is answered.  ``cpu_count`` is
 recorded alongside — scaling is physically bounded by it, so the
-accompanying test only asserts the four-worker speedup bars when four
+accompanying test only asserts the four-worker speedup bar when four
 cores exist.
 
 BLAS pools are pinned to one thread (before numpy loads) so the sweep
@@ -118,9 +115,9 @@ def _data_vector(cells: int) -> np.ndarray:
 def _measure(run, count: int, *, repeats: int = REPEATS) -> float:
     """Best-of-``repeats`` answers/sec after one untimed warmup run.
 
-    The warmup absorbs one-time costs (first-touch allocations, plan
-    shipping to worker processes); taking the best repeat rather than the
-    mean keeps the ratio rows stable against scheduler noise.
+    The warmup absorbs one-time costs (first-touch allocations, pool thread
+    start-up); taking the best repeat rather than the mean keeps the ratio
+    rows stable against scheduler noise.
     """
     run()
     best = 0.0
@@ -131,9 +128,7 @@ def _measure(run, count: int, *, repeats: int = REPEATS) -> float:
     return best
 
 
-def _throughput_row(
-    workers: int, planner: Planner, workload: Workload, execution: str
-) -> dict:
+def _throughput_row(workers: int, planner: Planner, workload: Workload) -> dict:
     data = _data_vector(CELLS)
     server = Server(
         TENANT_BUDGET,
@@ -141,7 +136,6 @@ def _throughput_row(
         planner=planner,
         workers=workers,
         shard_min_rows=512,
-        execution=execution,
         random_state=0,
     )
     tenants = [f"tenant-{i}" for i in range(TENANTS)]
@@ -177,8 +171,7 @@ def _throughput_row(
 
     stats = server.stats()
     server.close()
-    row = {
-        "execution": execution,
+    return {
         "workers": workers,
         "tenants": TENANTS,
         "paid_requests": PAID_REQUESTS,
@@ -191,9 +184,6 @@ def _throughput_row(
             entry["epsilon"] for entry in stats["spent"].values()
         ),
     }
-    if stats["process_executor"] is not None:
-        row["process_executor"] = stats["process_executor"]
-    return row
 
 
 def _coalescing_burst(planner: Planner, workload: Workload) -> dict:
@@ -435,12 +425,8 @@ def run(worker_counts=WORKER_COUNTS) -> dict:
     planner.plan(workload, PrivacyParams(REQUEST_EPSILON, TENANT_BUDGET.delta))
     cold_seconds = time.perf_counter() - cold_started
 
-    rows = [
-        _throughput_row(workers, planner, workload, execution)
-        for execution in ("thread", "process")
-        for workers in worker_counts
-    ]
-    baseline = rows[0]  # the 1-worker thread row
+    rows = [_throughput_row(workers, planner, workload) for workers in worker_counts]
+    baseline = rows[0]  # the 1-worker row
     for row in rows:
         row["paid_speedup_vs_1"] = (
             row["paid_answers_per_sec"] / baseline["paid_answers_per_sec"]
@@ -520,17 +506,12 @@ def test_engine_throughput():
     burst = section["coalescing"]
     assert burst["charges"] == 1 and burst["releases"] == 1
     assert burst["leaders"] + burst["followers"] <= burst["burst"]
-    by_row = {(row["execution"], row["workers"]): row for row in section["rows"]}
+    by_workers = {row["workers"]: row for row in section["rows"]}
     cores = os.cpu_count() or 1
-    if ("thread", 4) in by_row and cores >= 4:
-        assert by_row[("thread", 4)]["reuse_speedup_vs_1"] >= 2.0, (
+    if 4 in by_workers and cores >= 4:
+        assert by_workers[4]["reuse_speedup_vs_1"] >= 2.0, (
             "4 workers must at least double warm-path answers/sec on >= 4 cores: "
-            f"{by_row[('thread', 4)]}"
-        )
-    if ("process", 4) in by_row and cores >= 4:
-        assert by_row[("process", 4)]["paid_speedup_vs_1"] >= 2.0, (
-            "4 worker processes must at least double paid answers/sec on "
-            f">= 4 cores: {by_row[('process', 4)]}"
+            f"{by_workers[4]}"
         )
 
 

@@ -33,9 +33,7 @@ budget (``--budget-epsilon`` / ``--budget-delta``), requests are answered
 from a thread pool, and repeated workload shapes across tenants share one
 plan cache.  Requests stream: each reply is written as soon as it and every
 earlier one are done, so a live pipe gets answers before EOF.
-``--execution process`` moves paid answering and cold strategy
-optimization to a worker-process pool (past the GIL).  Admission is
-unbounded unless ``--queue-depth N`` is given; then requests beyond N in
+Admission is unbounded unless ``--queue-depth N`` is given; then requests beyond N in
 flight are rejected at once with a ``retry_after`` hint.  ``--forecast``
 turns on workload forecasting and adaptive pre-planning (epoch length via
 ``--forecast-epoch``, forecast width via ``--forecast-top-k``): predicted-hot
@@ -184,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=4,
-        help="request-pool workers (threads; worker processes too with --execution process)",
+        help="request-pool worker threads",
     )
     serve.add_argument(
         "--shards",
@@ -198,13 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="admission bound: requests beyond this many in flight are rejected "
         "with a retry_after hint (default: unbounded)",
-    )
-    serve.add_argument(
-        "--execution",
-        choices=("thread", "process"),
-        default="thread",
-        help="execution tier: 'process' moves paid answering and cold strategy "
-        "optimization to a worker-process pool (past the GIL)",
     )
     serve.add_argument(
         "--state",
@@ -523,7 +514,6 @@ def _serve_lines(arguments, schema, relation, lines, out) -> int:
         data=relation,
         workers=arguments.workers,
         shards=arguments.shards,
-        execution=arguments.execution,
         queue_depth=arguments.queue_depth,
         default_epsilon=arguments.default_epsilon,
         random_state=arguments.seed,

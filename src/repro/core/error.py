@@ -425,17 +425,20 @@ def expected_workload_error(
 
 
 def _strategy_gram_solver(strategy: Strategy):
-    """A reusable ``rhs -> (A^T A)^+ rhs`` action for per-query variances.
+    """A reusable ``B -> diag(B^T (A^T A)^+ B)`` action for per-query variances.
 
     Structured strategies (Kronecker products, factorized eigen designs,
     completed designs via the Woodbury machinery) serve the solve through the
-    shared inverse-apply protocol; everything else solves through the
-    strategy's cached Gram root.
+    shared inverse-apply protocol; everything else takes one triangular solve
+    against the strategy's cached Gram root, since ``w G^+ w^T`` is
+    ``||R^{+T} w^T||^2``.
     """
     operator = strategy.gram_operator
     if operator is not None and hasattr(operator, "inverse_apply"):
-        return operator.inverse_apply
-    return strategy.normal_factor.solve
+        solve = operator.inverse_apply
+        return lambda block: np.sum(block * solve(block), axis=0)
+    root = strategy.normal_factor
+    return lambda block: np.sum(root.inverse_transpose(block) ** 2, axis=0)
 
 
 def per_query_error(
@@ -475,8 +478,7 @@ def per_query_error(
             block = rows[start:stop]
         else:
             block = rows.row_block(start, stop)
-        solved = solver(block.T)
-        variances[start:stop] = np.sum(block.T * solved, axis=0)
+        variances[start:stop] = solver(block.T)
     return scale * np.sqrt(np.clip(variances, 0.0, None))
 
 

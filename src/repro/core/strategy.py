@@ -98,8 +98,8 @@ class Strategy(StructuredGramMixin):
         self._normal_factor: GramRoot | None = None
 
     def __getstate__(self) -> dict:
-        """Pickle without the Gram root: stored plans, stored releases and
-        worker payloads stay their size, and the receiver refactors."""
+        """Pickle without the Gram root: stored plans and stored releases
+        stay their size, and the reader refactors."""
         state = self.__dict__.copy()
         state["_normal_factor"] = None
         return state

@@ -27,10 +27,6 @@ path from a request to consistent private answers:
 * :mod:`repro.engine.faults` — named fault points on the
   charge→execute→persist path, armable in tests (raise or SIGKILL) to prove
   the crash-recovery invariants;
-* :mod:`repro.engine.executor` — the process-pool execution tier
-  (:class:`ProcessExecutor`): paid answering and cold strategy optimization
-  past the GIL, content-addressed plan shipping, bit-for-bit deterministic
-  against the in-process path;
 * :mod:`repro.engine.forecast` — workload forecasting and adaptive
   pre-planning (:class:`ForecastEngine`): per-tenant arrival history,
   exponentially-weighted next-epoch mix, plan-cache pre-warming and
@@ -43,9 +39,9 @@ section of ``docs/architecture.md``.
 """
 
 # Submodules are imported lazily (PEP 562) so that importing one engine
-# module (e.g. the mechanism protocol) does not
-# drag in the whole executor stack — the Session pulls the relational front
-# end, which entry points like `python -m repro list` never need.
+# module (e.g. the mechanism protocol) does not drag in the whole serving
+# stack — the Session pulls the relational front end, which entry points
+# like `python -m repro list` never need.
 _EXPORTS = {
     "ArrivalRecorder": "repro.engine.forecast",
     "BudgetExceededError": "repro.mechanisms.accountant",
@@ -58,7 +54,6 @@ _EXPORTS = {
     "PlanCache": "repro.engine.cache",
     "PlanCandidate": "repro.engine.planner",
     "Planner": "repro.engine.planner",
-    "ProcessExecutor": "repro.engine.executor",
     "PrivacyAccountant": "repro.mechanisms.accountant",
     "Server": "repro.engine.server",
     "Session": "repro.engine.session",

@@ -39,8 +39,8 @@ pins down:
 * pre-planning never touches a budget: no accountant appears anywhere on
   the forecast path.
 
-Ownership (``docs/architecture.md`` §7/§10): the forecaster lives in the
-**parent** serving process only.  Its pre-warm work runs on a dedicated
+Ownership (``docs/architecture.md`` §10): the forecaster lives in the
+serving process.  Its pre-warm work runs on a dedicated
 background thread (never a request worker), and the plans it builds flow
 through the shared planner — build gates, counters, and plan-store
 persistence included — so a racing reactive request never duplicates an

@@ -296,26 +296,15 @@ class Planner:
         require_estimate: bool = True,
         include_baselines: bool = True,
         design_options: dict | None = None,
-        build_offload=None,
     ):
         self.cache = PlanCache() if cache == "default" else cache
         self.require_estimate = require_estimate
         self.include_baselines = include_baselines
         self.design_options = dict(design_options or {})
-        #: Optional hook ``(workload, params, key, config) -> Plan | None``
-        #: that runs the cold build somewhere else — the process-pool
-        #: execution tier (:mod:`repro.engine.executor`) installs its
-        #: ``optimize`` here so strategy optimization escapes the GIL.  A
-        #: ``None`` return (closed pool, unpicklable workload) falls back to
-        #: building inline; either way the plan lands in this planner's
-        #: cache and counts in :attr:`plans_built` exactly once.
-        self.build_offload = build_offload
         #: Optional :class:`~repro.engine.store.StateStore`: every cold build
         #: is persisted under its cache key (best-effort — ``save_plan``
-        #: never raises) so the *next* process boots with a warm cache.  Set
-        #: by the serving layer in the parent process only; :meth:`config`
-        #: deliberately excludes it, so worker-side throwaway planners never
-        #: write the store (the §7 single-writer rule).
+        #: never raises) so the *next* process boots with a warm cache.  The
+        #: serving layer installs its store here when the planner has none.
         self.plan_store = None
         self.plans_built = 0
         self.requests = 0
@@ -323,15 +312,6 @@ class Planner:
         #: Per-fingerprint build gates: one strategy optimization per key,
         #: however many threads miss on it at once.
         self._building: dict[str, threading.Lock] = {}
-
-    def config(self) -> dict:
-        """Constructor kwargs that reproduce this planner's build behaviour
-        (what the execution tier ships to a worker-side throwaway planner)."""
-        return {
-            "require_estimate": self.require_estimate,
-            "include_baselines": self.include_baselines,
-            "design_options": dict(self.design_options),
-        }
 
     # ------------------------------------------------------------------ keys
     def _config_digest(self) -> str:
@@ -445,9 +425,9 @@ class Planner:
                     plan = self._build_plan(workload, params, key)
                     self.cache.put(key, plan)
                     if self.plan_store is not None:
-                        # Persist the freshly optimized plan (wherever it was
-                        # built — inline or offloaded) so a restarted server
-                        # reboots warm.  Best-effort: never fails the request.
+                        # Persist the freshly optimized plan so a restarted
+                        # server reboots warm.  Best-effort: never fails the
+                        # request.
                         self.plan_store.save_plan(key, plan)
         finally:
             with self._lock:
@@ -494,10 +474,6 @@ class Planner:
         started = time.perf_counter()
         with self._lock:
             self.plans_built += 1
-        if self.build_offload is not None:
-            plan = self.build_offload(workload, params, key, self.config())
-            if plan is not None:
-                return plan
         regime = "gaussian" if params.is_approximate else "laplace"
         reference = REFERENCE_PRIVACY if regime == "gaussian" else REFERENCE_PRIVACY_PURE
         profile = analyze_workload(workload)

@@ -29,13 +29,8 @@ Request work runs on one pool and shard work on a second, so a request that
 shards never waits on its own siblings for a worker (no pool-within-pool
 starvation).
 
-Three pieces sit above the thread pools (``docs/architecture.md`` §7):
+Two pieces sit above the thread pools (``docs/architecture.md`` §7):
 
-* **process execution** (``execution="process"``) — paid answering and cold
-  strategy optimization move to a :class:`~repro.engine.executor
-  .ProcessExecutor` worker pool, past the GIL; the parent keeps every piece
-  of authoritative state (accountant, plan cache, release pools) and the
-  answers are bit-for-bit what the thread tier would have produced;
 * **in-flight coalescing** — N concurrent *identical* requests (same
   tenant-visible query, same privacy slice, same release span) execute
   once: the first becomes the leader, the rest attach to its future and
@@ -65,7 +60,6 @@ import numpy as np
 from repro.core.privacy import PrivacyParams
 from repro.core.workload import Workload
 from repro.domain.schema import Schema
-from repro.engine.executor import ProcessExecutor
 from repro.engine.forecast import ForecastEngine
 from repro.engine.planner import (
     REFERENCE_PRIVACY,
@@ -161,21 +155,12 @@ class Server:
         warm cache between them.
     workers:
         Request-pool threads: how many tenant requests execute at once.
-        In process execution mode the worker-*process* pool is sized the
-        same way (request threads block on their process futures, so the
-        smaller pool bounds concurrency).
     shards:
         Shard-pool parallelism for one large request (defaults to
         ``workers``); ``1`` disables sharding.
     shard_min_rows:
         Sharding threshold — requests (or relations) with fewer rows run
         unsharded on the calling thread.
-    execution:
-        ``"thread"`` (default) runs paid plans on the request thread;
-        ``"process"`` moves paid answering *and* cold strategy optimization
-        to a :class:`~repro.engine.executor.ProcessExecutor`, past the GIL.
-        Answers are bit-for-bit identical either way (the request RNG's
-        state crosses the pickle boundary); only the parallelism differs.
     queue_depth:
         Admission bound for :meth:`serve`: at most this many requests of
         one stream may be admitted-but-unfinished, and the rest are
@@ -223,7 +208,6 @@ class Server:
         workers: int = 4,
         shards: int | None = None,
         shard_min_rows: int = DEFAULT_SHARD_MIN_ROWS,
-        execution: str = "thread",
         queue_depth: int | None = None,
         default_epsilon: float | None = None,
         default_delta: float | None = None,
@@ -233,10 +217,6 @@ class Server:
         forecast_epoch_seconds: float = 60.0,
         forecast_top_k: int = 8,
     ):
-        if execution not in ("thread", "process"):
-            raise ReproError(
-                f"execution must be 'thread' or 'process', got {execution!r}"
-            )
         if queue_depth is not None and queue_depth < 0:
             raise ReproError(f"queue_depth must be >= 0, got {queue_depth}")
         self.budget = budget
@@ -245,7 +225,6 @@ class Server:
         self.workers = max(1, int(workers))
         self.shards = self.workers if shards is None else max(1, int(shards))
         self.shard_min_rows = max(1, int(shard_min_rows))
-        self.execution = execution
         self.queue_depth = None if queue_depth is None else int(queue_depth)
         self.default_epsilon = default_epsilon
         self.default_delta = default_delta
@@ -261,24 +240,12 @@ class Server:
             if self.shards > 1
             else None
         )
-        # The process execution tier.  The build offload is installed on the
-        # shared planner only when the planner does not already carry one
-        # (a caller-owned planner may be shared with other servers), and is
-        # uninstalled on close so a shared planner never points at a dead
-        # pool — the executor itself also degrades to inline when closed.
-        self._process_executor: ProcessExecutor | None = None
-        self._offload_installed = False
-        if execution == "process":
-            self._process_executor = ProcessExecutor(self.workers)
-            if self.planner.build_offload is None:
-                self.planner.build_offload = self._process_executor.optimize
-                self._offload_installed = True
         # The durable state tier.  A path means this server owns (and
         # closes) the store; an existing StateStore is caller-owned and may
-        # be shared.  The planner's plan_store follows the build_offload
-        # install/uninstall discipline — installed only when absent,
-        # uninstalled on close — so a shared planner never points at a
-        # closed store.
+        # be shared.  The planner's plan_store is installed only when the
+        # planner carries none (a caller-owned planner may be shared with
+        # other servers) and uninstalled on close, so a shared planner
+        # never points at a closed store.
         self._store: StateStore | None = None
         self._store_owned = False
         self._plan_store_installed = False
@@ -348,11 +315,6 @@ class Server:
         self._pool.shutdown(wait=True)
         if self._shard_pool is not None:
             self._shard_pool.shutdown(wait=True)
-        if self._process_executor is not None:
-            if self._offload_installed:
-                self.planner.build_offload = None
-                self._offload_installed = False
-            self._process_executor.close()
         if self._forecast is not None and self._forecast_owned:
             # Before the store goes away: close() flushes pending arrival
             # deltas so the next boot forecasts from this process's history.
@@ -438,11 +400,6 @@ class Server:
                 ),
                 random_state=random_state,
                 release_answerer=self.sharded_answers,
-                plan_executor=(
-                    None
-                    if self._process_executor is None
-                    else self._process_executor.execute
-                ),
                 stage_timer=self._stage_stats.record,
                 store=self._store,
                 tenant=tenant,
@@ -883,13 +840,7 @@ class Server:
             "answers_served": answers_served,
             "workers": self.workers,
             "shards": self.shards,
-            "execution": self.execution,
             "queue_depth": self.queue_depth,
-            "process_executor": (
-                None
-                if self._process_executor is None
-                else self._process_executor.stats()
-            ),
             "coalesce": coalesce,
             "stages": self._stage_stats.snapshot(),
             "plans_built": self.planner.plans_built,

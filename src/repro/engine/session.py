@@ -148,15 +148,6 @@ class Session:
         answers from a released estimate — a
         :class:`~repro.engine.server.Server` injects its shard-parallel
         answerer here.  Defaults to ``workload.answer(estimate)``.
-    plan_executor:
-        Optional hook ``(plan, workload, data, params, random_state, key) ->
-        MechanismResult`` that runs a paid plan somewhere other than the
-        calling thread — a server in process execution mode injects its
-        :meth:`~repro.engine.executor.ProcessExecutor.execute` here so noise
-        + inference escape the GIL.  The session's own state (accountant,
-        releases, history) never crosses that boundary; only the plan, the
-        data vector and the request's RNG do.  Defaults to
-        ``plan.execute(...)`` inline.
     stage_timer:
         Optional hook ``(stage, seconds)`` fed per-request stage latencies
         (``"plan_lookup"`` for a warm plan, ``"plan_build"`` for a cold one,
@@ -186,7 +177,6 @@ class Session:
         default_delta: float | None = None,
         random_state=None,
         release_answerer=None,
-        plan_executor=None,
         stage_timer=None,
         store=None,
         tenant: str = "default",
@@ -200,7 +190,6 @@ class Session:
         self.default_delta = default_delta
         self._rng = as_generator(random_state)
         self._release_answerer = release_answerer
-        self._plan_executor = plan_executor
         self._stage_timer = stage_timer
         self._store = store
         self._tenant = tenant
@@ -456,10 +445,7 @@ class Session:
             )
             rng = self._request_rng(random_state)
             execute_started = time.perf_counter()
-            if self._plan_executor is not None:
-                result = self._plan_executor(plan, workload, vector, params, rng, key)
-            else:
-                result = plan.execute(workload, vector, params, random_state=rng)
+            result = plan.execute(workload, vector, params, random_state=rng)
             self._record_stage("execute", time.perf_counter() - execute_started)
             # Crash here (noise drawn, row still PENDING): recovery *must*
             # count it — losing this row would be a privacy violation.

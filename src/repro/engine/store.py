@@ -42,9 +42,8 @@ Failure policy, by what the state protects:
   so it degrades to in-memory-only and counts the failure
   (:meth:`StateStore.stats`, surfaced in ``Server.stats()["store"]``).
 
-Ownership (``docs/architecture.md`` §7/§8): the store is written by the
-**parent** serving process only — sessions and the planner persist through
-it, worker processes never see it.
+Ownership (``docs/architecture.md`` §8): the serving process writes the
+store — sessions and the planner persist through it.
 """
 
 from __future__ import annotations

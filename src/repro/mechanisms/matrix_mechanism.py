@@ -107,7 +107,8 @@ class MatrixMechanism:
         self._supported_workloads: weakref.WeakSet[Workload] = weakref.WeakSet()
 
     def __getstate__(self) -> dict:
-        """Pickle without the caches: the receiving process rebuilds them."""
+        """Pickle without the caches (a ``WeakSet`` cannot be pickled): the
+        reader of a stored plan rebuilds them."""
         state = self.__dict__.copy()
         for name in ("_validated", "_column_norm", "_supported_workloads"):
             del state[name]

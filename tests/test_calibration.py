@@ -1,8 +1,8 @@
 """Calibration tier: the noise the engine releases is the noise it reports.
 
-Seeded paid answers go through ``Server.ask`` under thread and process
-execution.  For each plan the tier recomputes the strategy's calibration
-from its matrix ``A`` and checks three things.
+Seeded paid answers go through ``Server.ask``, on the request thread.  For
+each plan the tier recomputes the strategy's calibration from its matrix
+``A`` and checks three things.
 
 * The realized noise scale equals ``params.gaussian_scale(max column L2
   norm of A)``, or ``params.laplace_scale(max column L1 norm of A)``.
@@ -35,15 +35,11 @@ BOUND = 5.0  # standard errors
 DATA = np.arange(CELLS, dtype=float) * 3.0 + 5.0
 
 
-@pytest.fixture(scope="module", params=["thread", "process"])
-def server(request):
-    with Server(
-        PrivacyParams(1e6, 0.5), workers=1, execution=request.param, random_state=2024
-    ) as server:
+# The one id keeps each case named after where its answers run.
+@pytest.fixture(scope="module", params=["thread"])
+def server():
+    with Server(PrivacyParams(1e6, 0.5), workers=1, random_state=2024) as server:
         yield server
-        if request.param == "process":
-            executor = server.stats()["process_executor"]
-            assert executor["executed"] > 0 and executor["inline_fallbacks"] == 0
 
 
 def _release(server, monkeypatch, workload, params, data=DATA):

@@ -1,10 +1,10 @@
-"""The execution tier (PR 6): process pool, coalescing, admission control.
+"""Serving above the request pool: coalescing, admission control, pickling.
 
-What horizontal scale-out must *not* change:
+What the serving layer must *not* change:
 
-* **bit-for-bit determinism** — the same seeded request produces the same
-  answer whether it ran inline, on a worker process, or through the
-  streaming line protocol; plans survive the pickle boundary exactly;
+* **determinism** — the same seeded request produces the same answer
+  through :meth:`Server.ask_many` and through the streaming line protocol;
+  plans survive pickling (the durable store's format) exactly;
 * **budget integrity** — N racing identical requests charge the tenant
   exactly once (coalescing), and a rejected request (backpressure, drain)
   charges nothing at all;
@@ -22,13 +22,13 @@ import pytest
 
 from repro.core.privacy import PrivacyParams
 from repro.core.workload import Workload
-from repro.engine import Planner, ProcessExecutor, Server
+from repro.engine import Planner, Server
 from repro.exceptions import ReproError
 from repro.workloads import all_range_queries_1d
 
 PRIVACY = PrivacyParams(epsilon=0.5, delta=1e-4)
 
-# Worker-process spawn plus a wedged future would hang, not fail; the
+# A wedged coalescing future or a stalled stream would hang, not fail; the
 # timeout marker (pytest-timeout in CI, conftest SIGALRM fallback locally)
 # keeps this module diagnosable.
 pytestmark = pytest.mark.timeout(300)
@@ -77,134 +77,6 @@ class TestPickleBoundary:
             thread.start()
         for thread in threads:
             thread.join()
-
-
-# ------------------------------------------------------------ process pool
-class TestProcessExecutor:
-    @pytest.fixture(scope="class")
-    def executor(self):
-        with ProcessExecutor(workers=2) as executor:
-            yield executor
-
-    def test_worker_answers_match_inline_oracle_bitwise(self, executor):
-        planner = Planner()
-        workload = all_range_queries_1d(CELLS)
-        params = PRIVACY
-        plan = planner.plan(workload, params)
-        key = planner.plan_key(workload, params)
-        data = _data()
-        oracle = plan.execute(
-            workload, data, params, random_state=np.random.default_rng(11)
-        )
-        result = executor.execute(
-            plan, workload, data, params, np.random.default_rng(11), key=key
-        )
-        np.testing.assert_array_equal(result.answers, oracle.answers)
-        np.testing.assert_array_equal(result.estimate, oracle.estimate)
-        stats = executor.stats()
-        assert stats["executed"] >= 1
-        assert stats["inline_fallbacks"] == 0
-
-    def test_plan_ships_once_per_worker_per_key(self, executor):
-        planner = Planner()
-        workload = all_range_queries_1d(12)
-        plan = planner.plan(workload, PRIVACY)
-        key = planner.plan_key(workload, PRIVACY)
-        data = np.ones(12)
-        before = executor.stats()
-        for seed in range(4):
-            executor.execute(
-                plan, workload, data, PRIVACY, np.random.default_rng(seed), key=key
-            )
-        after = executor.stats()
-        assert after["executed"] - before["executed"] == 4
-        # Content-addressing: the full payload crossed at most once per
-        # worker (2 workers); the rest ran against the memoised warm plan.
-        assert after["plans_offloaded"] - before["plans_offloaded"] <= 2
-
-    def test_offloaded_optimization_builds_the_same_plan(self, executor):
-        planner = Planner()
-        workload = all_range_queries_1d(CELLS)
-        key = planner.plan_key(workload, PRIVACY)
-        offloaded = executor.optimize(workload, PRIVACY, key, planner.config())
-        assert offloaded is not None
-        inline = planner.plan(workload, PRIVACY)
-        data = _data()
-        a = offloaded.execute(
-            workload, data, PRIVACY, random_state=np.random.default_rng(3)
-        )
-        b = inline.execute(
-            workload, data, PRIVACY, random_state=np.random.default_rng(3)
-        )
-        np.testing.assert_allclose(a.answers, b.answers)
-        assert offloaded.expected_error(PRIVACY) == pytest.approx(
-            inline.expected_error(PRIVACY)
-        )
-
-    def test_closed_executor_degrades_to_inline(self):
-        executor = ProcessExecutor(workers=1)
-        executor.close()
-        planner = Planner()
-        workload = Workload.identity(8)
-        plan = planner.plan(workload, PRIVACY)
-        result = executor.execute(
-            plan, workload, np.ones(8), PRIVACY, np.random.default_rng(0)
-        )
-        assert result.answers.shape == (8,)
-        assert executor.stats()["inline_fallbacks"] == 1
-
-
-class TestProcessServer:
-    def test_process_server_matches_thread_oracle_bitwise(self):
-        data = _data()
-        shapes = [all_range_queries_1d(CELLS), Workload.identity(CELLS)]
-        requests = [
-            (f"tenant-{i % 3}", shapes[i % len(shapes)], 100 + i) for i in range(8)
-        ]
-
-        def run_server(execution):
-            server = Server(
-                PrivacyParams(10.0, 1e-3),
-                data=data,
-                workers=2,
-                execution=execution,
-                random_state=0,
-            )
-            entries = [
-                (tenant, workload, {"epsilon": 0.2, "data": data, "random_state": seed})
-                for tenant, workload, seed in requests
-            ]
-            answers = server.ask_many(entries)
-            stats = server.stats()
-            server.close()
-            return [answer.answers for answer in answers], stats
-
-        process, process_stats = run_server("process")
-        thread, _ = run_server("thread")
-        for got, expected in zip(process, thread):
-            np.testing.assert_array_equal(got, expected)
-        executor_stats = process_stats["process_executor"]
-        assert executor_stats is not None
-        assert executor_stats["executed"] == len(requests)
-        assert executor_stats["inline_fallbacks"] == 0
-        assert process_stats["execution"] == "process"
-
-    def test_offload_hook_installed_and_uninstalled(self):
-        planner = Planner()
-        server = Server(
-            PrivacyParams(1.0, 1e-4),
-            data=np.ones(8),
-            planner=planner,
-            workers=1,
-            execution="process",
-        )
-        assert planner.build_offload is not None
-        server.close()
-        assert planner.build_offload is None
-
-    def test_invalid_execution_rejected(self):
-        with pytest.raises(Exception):
-            Server(PrivacyParams(1.0, 1e-4), data=np.ones(4), execution="gpu")
 
 
 # -------------------------------------------------------------- coalescing

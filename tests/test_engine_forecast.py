@@ -514,7 +514,6 @@ class TestServerStatsGoldenShape:
             "plan_requests",
         ):
             assert isinstance(stats[section], (int, float)), section
-        assert stats["execution"] in ("thread", "process")
         # Unbounded admission by default; a set bound reads back exactly.
         assert stats["queue_depth"] is None
         with Server(PRIVACY, workers=1, queue_depth=8) as bounded:

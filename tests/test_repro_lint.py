@@ -46,7 +46,6 @@ class TestFramework:
             "lock-discipline",
             "no-densify",
             "one-factor",
-            "worker-purity",
         )
         for checker in ALL_CHECKERS:
             assert checker.description
@@ -199,75 +198,6 @@ class TestLockDiscipline:
         assert "self._answers_served" in flagged[0].message
         line = mutated.splitlines()[flagged[0].line - 1]
         assert line.strip() == "self._answers_served += 1"
-
-
-# -------------------------------------------------------------- WorkerPurity
-WORKER_TREE_BAD = {
-    "src/repro/engine/executor.py": """\
-    from repro.engine.planner import build
-
-    def _execute_in_worker(plan, session):
-        return build(plan, session)
-    """,
-    "src/repro/engine/planner.py": """\
-    def build(plan, session):
-        session.accountant.charge(plan.params)
-        try:
-            return plan
-        finally:
-            session.accountant.refund(plan.params)
-    """,
-}
-
-WORKER_TREE_GOOD = {
-    "src/repro/engine/executor.py": """\
-    from repro.engine.planner import build
-
-    def _execute_in_worker(plan):
-        return build(plan)
-    """,
-    "src/repro/engine/planner.py": """\
-    def build(plan):
-        return plan
-
-    def parent_only(cache, key, plan, session):
-        # Not reachable from the worker entry point: the charge is legal.
-        session.accountant.charge(plan.params)
-        try:
-            cache.put(key, plan)
-        finally:
-            session.accountant.refund(plan.params)
-    """,
-}
-
-
-class TestWorkerPurity:
-    def test_charge_reachable_from_worker_is_flagged(self, tmp_path):
-        findings = lint_tree(tmp_path, WORKER_TREE_BAD, rules=["worker-purity"])
-        flagged = hits(findings, "worker-purity")
-        assert len(flagged) == 2  # the charge and the refund
-        assert all("_execute_in_worker" in finding.message for finding in flagged)
-        assert flagged[0].path.endswith("planner.py")
-
-    def test_parent_only_writes_outside_the_worker_graph_are_clean(self, tmp_path):
-        findings = lint_tree(tmp_path, WORKER_TREE_GOOD, rules=["worker-purity"])
-        assert findings == []
-
-    def test_method_resolution_is_scoped_to_the_import_closure(self, tmp_path):
-        tree = dict(WORKER_TREE_GOOD)
-        # A module the executor never imports defines a method the worker
-        # also calls by name; closure scoping must not drag it in.
-        tree["src/repro/engine/session.py"] = """\
-        class Session:
-            def build(self, plan, session):
-                session.accountant.charge(plan.params)
-                try:
-                    return plan
-                finally:
-                    session.accountant.refund(plan.params)
-        """
-        findings = lint_tree(tmp_path, tree, rules=["worker-purity"])
-        assert findings == []
 
 
 # ---------------------------------------------------------------- BudgetFlow

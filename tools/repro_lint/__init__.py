@@ -1,12 +1,10 @@
 """repro-lint: AST enforcement of the engine's documented invariants.
 
-Five checkers, each the mechanical form of one architecture-doc rule:
+Four checkers, each the mechanical form of one architecture-doc rule:
 
 ========================  ====================================================
 ``lock-discipline``       manifest-registered shared state is written under
                           its owning lock (§6/§9)
-``worker-purity``         code reachable from worker entry points never
-                          writes authoritative parent state (§7)
 ``budget-flow``           every charge pairs with a refund/settle path; the
                           write-ahead ledger record precedes the draw (§8)
 ``no-densify``            operators densify only at budget-consulting
@@ -35,9 +33,8 @@ from .lock_discipline import LockDisciplineChecker
 from .manifest import LOCK_MANIFEST, LockRule, checkable_rules, render_lock_table
 from .no_densify import NoDensifyChecker
 from .one_factor import OneFactorChecker
-from .worker_purity import WorkerPurityChecker
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 #: The default checker battery, in rule-id order.
 ALL_CHECKERS: tuple[Checker, ...] = (
@@ -45,7 +42,6 @@ ALL_CHECKERS: tuple[Checker, ...] = (
     LockDisciplineChecker(),
     NoDensifyChecker(),
     OneFactorChecker(),
-    WorkerPurityChecker(),
 )
 
 RULE_IDS = tuple(checker.rule_id for checker in ALL_CHECKERS)
